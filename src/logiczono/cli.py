@@ -67,6 +67,22 @@ def _read_json(path: str):
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _out(text: str) -> None:
+    """Print a line to stdout; once its reader has gone, drop the rest of the output."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _discard_stdout()
+
+
+def _discard_stdout() -> None:
+    # Point the descriptor at the null device so that later writes, and the
+    # flush at interpreter exit, do not fail again on the closed pipe.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _median_time_ms(fn) -> float:
     fn()  # warm-up discarded
     samples = []
@@ -117,7 +133,7 @@ def cmd_reach(args) -> int:
     input_combos = _split_input_maps(input_bindings, args.steps)
     n_sub = len(init_combos) * len(input_combos)
     if n_sub > 1:
-        print(f"note: point-list bindings split the run into {n_sub} subproblems")
+        _out(f"note: point-list bindings split the run into {n_sub} subproblems")
 
     safety_sets = None
     if args.unsafe:
@@ -158,7 +174,7 @@ def cmd_reach(args) -> int:
 
     checking = safety_sets is not None
     header = f"{'step':>4}  {'time_ms':>9}  {'size':>10}" + ("  verdict" if checking else "")
-    print(header)
+    _out(header)
     rows = []
     for k in range(1, n_steps):
         size_txt = str(sizes[k]) if sizes[k] is not None else "not enumerated"
@@ -171,12 +187,12 @@ def cmd_reach(args) -> int:
             line += f"  {verdict}"
             if unsafe_at[k] is not None:
                 line += f" (witness {unsafe_at[k].to01()})"
-        print(line)
+        _out(line)
         rows.append(row)
     if checking:
         v0 = "UNSAFE" if unsafe_at[0] is not None else "SAFE"
         w0 = f" (witness {unsafe_at[0].to01()})" if unsafe_at[0] is not None else ""
-        print(f"step 0 (initial): {v0}{w0}")
+        _out(f"step 0 (initial): {v0}{w0}")
 
     if args.json:
         report = {
@@ -246,11 +262,11 @@ def cmd_intersect(args) -> int:
         rec = {"kind": "cplz", "operation": "intersect", "time_ms": round(ms, 4),
                "size": len(pts), "dim": ca.n, "a": args.a, "b": args.b}
         records.append(rec)
-        print(f"exact intersection: size {len(pts)}, {ms:.4f} ms")
+        _out(f"exact intersection: size {len(pts)}, {ms:.4f} ms")
     else:
         gens = args.gens if args.gens is not None else max(args.dim - 1, 1)
-        print(f"{'trial':>5}  {'lz_ms':>8} {'lz_size':>8}  {'plz_ms':>8} {'plz_size':>9}"
-              f"  {'cplz_ms':>8} {'cplz_size':>10}")
+        _out(f"{'trial':>5}  {'lz_ms':>8} {'lz_size':>8}  {'plz_ms':>8} {'plz_size':>9}"
+             f"  {'cplz_ms':>8} {'cplz_size':>10}")
         for t in range(args.trials):
             rng = np.random.default_rng([args.seed, t])
             l1 = _random_lz(rng, args.dim, gens)
@@ -267,15 +283,15 @@ def cmd_intersect(args) -> int:
                     "seed": args.seed,
                     "trial": t,
                 })
-            print(f"{t:>5}  {recs['lz']['time_ms']:>8.4f} {recs['lz']['size']:>8}"
-                  f"  {recs['plz']['time_ms']:>8.4f} {recs['plz']['size']:>9}"
-                  f"  {recs['cplz']['time_ms']:>8.4f} {recs['cplz']['size']:>10}")
+            _out(f"{t:>5}  {recs['lz']['time_ms']:>8.4f} {recs['lz']['size']:>8}"
+                 f"  {recs['plz']['time_ms']:>8.4f} {recs['plz']['size']:>9}"
+                 f"  {recs['cplz']['time_ms']:>8.4f} {recs['cplz']['size']:>10}")
         medians = {}
         for kind in ("lz", "plz", "cplz"):
             sizes = [r["size"] for r in records if r["kind"] == kind]
             times = [r["time_ms"] for r in records if r["kind"] == kind]
             medians[kind] = {"size": statistics.median(sizes), "time_ms": statistics.median(times)}
-        print("medians: " + "  ".join(
+        _out("medians: " + "  ".join(
             f"{kind}: size {medians[kind]['size']}, {medians[kind]['time_ms']:.4f} ms"
             for kind in ("lz", "plz", "cplz")))
 
@@ -297,7 +313,7 @@ def cmd_enumerate(args) -> int:
     pts = enumerate_points(parts[0], budget)
     for extra in parts[1:]:
         pts = pts.union(enumerate_points(extra, budget))
-    print(json.dumps(pts.to_bitstrings()))
+    _out(json.dumps(pts.to_bitstrings()))
     return 0
 
 
@@ -350,13 +366,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except (NetParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
+    return code
 
 
 def console_main() -> None:

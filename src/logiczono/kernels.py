@@ -1,126 +1,63 @@
-"""Enumeration sweep kernels: numba-compiled hot path, pure-numpy fallback.
+"""Enumeration sweep kernel: the GF(2) subset-XOR (zeta) transform.
 
-A sweep walks factor assignments alpha = start..stop-1 (bit k of the
-integer is the value of factor k), keeps the assignments whose packed
-constraint XOR-accumulation matches ``bwords``, and writes the packed
-point ``cwords ^ XOR of active generator columns`` for each survivor
-into ``out``. Monomial tests are precomputed masks: column j is active
-for alpha iff (alpha & mask_j) == mask_j.
+A sweep covers the factor assignments alpha = start..stop-1 (bit k of the
+integer is the value of factor k). Column j is active for alpha iff
+(alpha & mask_j) == mask_j, so the XOR of the active payloads is
 
-Backend is picked once at import from LOGICZONO_BACKEND ("numba" or
-"numpy", default numba when importable) and can be switched at runtime
-with set_backend().
+    T[alpha] = XOR of F[m] over all m subset-of alpha,
+
+where F[m] is the XOR of the payloads whose mask is m. T is the binary
+zeta transform of F and takes one in-place pass per factor bit over a
+table of all assignments: O(p * 2^p + h) word operations instead of the
+O(h * 2^p) of testing every column against every assignment (Joux,
+*Algorithmic Cryptanalysis*, 2009, ch. 9).
+
+Precondition: ``[start, stop)`` is an aligned power-of-two block, i.e.
+``stop - start == 2^k`` and ``start`` is a multiple of ``2^k``. Every
+alpha in the block then shares the high bits of ``start``; only the
+columns whose high mask bits lie inside ``start`` can be active there,
+and they are transformed over the low k bits.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_U64 = np.uint64
 
-
-def sweep_chunk_numpy(start, stop, emasks, gwords, cwords, rmasks, awords, bwords, out, limit):
-    """Vectorized fallback; same contract as the jitted kernel."""
-    alphas = np.arange(start, stop, dtype=np.uint64)
-    na = alphas.shape[0]
-    q = rmasks.shape[0]
-    if q:
-        acc = np.zeros((na, bwords.shape[0]), dtype=np.uint64)
-        for i in range(q):
-            hit = (alphas & rmasks[i]) == rmasks[i]
-            acc[hit] ^= awords[i]
-        sat = (acc == bwords).all(axis=1)
-    else:
-        sat = np.ones(na, dtype=bool) if bwords.size == 0 else np.zeros(na, dtype=bool)
-        if bwords.size and not bwords.any():
-            sat[:] = True
-    vals = np.broadcast_to(cwords, (na, cwords.shape[0])).copy()
-    for j in range(emasks.shape[0]):
-        hit = (alphas & emasks[j]) == emasks[j]
-        vals[hit] ^= gwords[j]
-    vals = vals[sat]
-    cnt = min(vals.shape[0], limit)
-    out[:cnt] = vals[:cnt]
-    return cnt
-
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _sweep_jit(start, stop, emasks, gwords, cwords, rmasks, awords, bwords, out, limit):  # pragma: no cover
-        nw = cwords.shape[0]
-        mw = bwords.shape[0]
-        h = emasks.shape[0]
-        q = rmasks.shape[0]
-        acc = np.empty(mw, dtype=np.uint64)
-        val = np.empty(nw, dtype=np.uint64)
-        cnt = 0
-        for a in range(start, stop):
-            au = _U64(a)
-            for t in range(mw):
-                acc[t] = _U64(0)
-            for i in range(q):
-                if au & rmasks[i] == rmasks[i]:
-                    for t in range(mw):
-                        acc[t] ^= awords[i, t]
-            ok = True
-            for t in range(mw):
-                if acc[t] != bwords[t]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for t in range(nw):
-                val[t] = cwords[t]
-            for j in range(h):
-                if au & emasks[j] == emasks[j]:
-                    for t in range(nw):
-                        val[t] ^= gwords[j, t]
-            for t in range(nw):
-                out[cnt, t] = val[t]
-            cnt += 1
-            if cnt >= limit:
-                break
-        return cnt
-
-    def sweep_chunk_numba(start, stop, emasks, gwords, cwords, rmasks, awords, bwords, out, limit):
-        return int(_sweep_jit(start, stop, emasks, gwords, cwords, rmasks, awords, bwords, out, limit))
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    sweep_chunk_numba = None
-    HAVE_NUMBA = False
-
-
-def _initial_backend() -> str:
-    name = os.environ.get("LOGICZONO_BACKEND", "").strip().lower()
-    if name in ("numba", "numpy"):
-        if name == "numba" and not HAVE_NUMBA:
-            return "numpy"
-        return name
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _initial_backend()
-
-
-def backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    global _BACKEND
-    _BACKEND = name
+def _subset_xor(start: int, stop: int, masks: np.ndarray, payloads: np.ndarray, words: int) -> np.ndarray:
+    """(stop - start, words) table; row i is the XOR of the payloads whose mask
+    is a subset of start + i."""
+    size = stop - start
+    low = np.uint64(size - 1)
+    table = np.zeros((size, words), dtype=np.uint64)
+    keep = (masks & ~np.uint64(stop - 1)) == 0  # stop - 1 == start | low: high bits fit in start
+    if words and keep.any():
+        np.bitwise_xor.at(table, (masks[keep] & low).astype(np.intp), payloads[keep])
+        half = 1
+        while half < size:
+            v = table.reshape(-1, 2, half, words)
+            v[:, 1] ^= v[:, 0]
+            half *= 2
+    return table
 
 
 def sweep_chunk(start, stop, emasks, gwords, cwords, rmasks, awords, bwords, out, limit):
-    if _BACKEND == "numba":
-        return sweep_chunk_numba(start, stop, emasks, gwords, cwords, rmasks, awords, bwords, out, limit)
-    return sweep_chunk_numpy(start, stop, emasks, gwords, cwords, rmasks, awords, bwords, out, limit)
+    """Write the points of the admissible assignments in ``[start, stop)`` to ``out``.
+
+    An assignment is admissible when the XOR of the constraint columns
+    ``awords`` whose mask in ``rmasks`` it covers equals ``bwords``; its
+    point is ``cwords`` XOR the generator columns ``gwords`` whose mask in
+    ``emasks`` it covers. Points are written in increasing alpha order, at
+    most ``limit`` of them; returns how many were written.
+    """
+    size = stop - start
+    if size <= 0 or size & (size - 1) or start % size:
+        raise ValueError(f"[{start}, {stop}) is not an aligned power-of-two block")
+    acc = _subset_xor(start, stop, rmasks, awords, bwords.shape[0])
+    hits = np.flatnonzero((acc == bwords).all(axis=1))[:limit]
+    del acc  # hold one full table at a time
+    cnt = hits.shape[0]
+    if cnt:
+        vals = _subset_xor(start, stop, emasks, gwords, cwords.shape[0])
+        np.bitwise_xor(vals[hits], cwords, out=out[:cnt])
+    return cnt

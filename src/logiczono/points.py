@@ -21,7 +21,6 @@ from .bitvec import BitVector, Gate, n_words, pack_bool_rows, pad_mask
 from .errors import BudgetExceeded, DimensionError
 from .sets import (
     ConstrainedPolyLogicalZonotope,
-    IdAllocator,
     LogicalZonotope,
     as_cplz,
 )
@@ -325,7 +324,7 @@ def enumerate_points(s, budget: EnumerationBudget | None = None) -> PointSet:
     budget = budget or DEFAULT_BUDGET
     if isinstance(s, LogicalZonotope):
         return _lz_span(s).materialize(budget.max_points)
-    c = as_cplz(s, IdAllocator(10**9))
+    c = as_cplz(s)
     if _empty_by_constraints(c):
         return PointSet.empty(c.n)
     span = _span_form(c)
@@ -341,11 +340,10 @@ def enumerate_points(s, budget: EnumerationBudget | None = None) -> PointSet:
             blocks = []
             if uniq.shape[0] > budget.max_points:
                 raise BudgetExceeded(f"point set exceeds the cap of {budget.max_points}")
-    if blocks:
-        uniq = _unique_rows(np.concatenate([uniq, *blocks]))
-    if uniq.shape[0] > budget.max_points:
+    pts = PointSet(c.n, np.concatenate([uniq, *blocks]))
+    if len(pts) > budget.max_points:
         raise BudgetExceeded(f"point set exceeds the cap of {budget.max_points}")
-    return PointSet(c.n, uniq)
+    return pts
 
 
 def count_points(s, budget: EnumerationBudget | None = None) -> int:
@@ -354,7 +352,7 @@ def count_points(s, budget: EnumerationBudget | None = None) -> int:
     budget = budget or DEFAULT_BUDGET
     if isinstance(s, LogicalZonotope):
         return _lz_span(s).count()
-    c = as_cplz(s, IdAllocator(10**9))
+    c = as_cplz(s)
     if _empty_by_constraints(c):
         return 0
     span = _span_form(c)
@@ -368,7 +366,7 @@ def witness_point(s, budget: EnumerationBudget | None = None) -> BitVector | Non
     budget = budget or DEFAULT_BUDGET
     if isinstance(s, LogicalZonotope):
         return BitVector(s.n, s.c.words.copy())
-    c = as_cplz(s, IdAllocator(10**9))
+    c = as_cplz(s)
     if _empty_by_constraints(c):
         return None
     span = _span_form(c)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,33 @@ def test_reach_unsafe_exit_code(tmp_path, capsys):
     assert doc["step0_verdict"] == "UNSAFE"
     assert doc["per_step"][1]["witness"] == "0"
     assert "UNSAFE" in out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_reach_closed_stdout_pipe(tmp_path, unbuffered):
+    # the reader of stdout is gone before the first line is written, as with
+    # `logiczono reach ... | head -0`; the verdict exit code and the report survive
+    net = tmp_path / "alt.bn"
+    net.write_text("state b[1]\nnext b = ~b\n")
+    init = write(tmp_path / "init.json", {"b": {"points": ["0"]}})
+    unsafe = write(tmp_path / "unsafe.json", {"state": "b", "set": {"points": ["0"]}})
+    report = tmp_path / "report.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "logiczono.cli", "reach", "--net", str(net), "--init", init,
+             "--steps", "2", "--enumerate", "--unsafe", unsafe, "--json", str(report)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    doc = json.loads(report.read_text())
+    assert [row["verdict"] for row in doc["per_step"]] == ["SAFE", "UNSAFE"]
 
 
 def test_reach_example_circuit(tmp_path, capsys):

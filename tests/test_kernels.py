@@ -1,47 +1,40 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logiczono import kernels, points
+from logiczono.bitvec import BitMatrix, BitVector
 from logiczono.points import enumerate_points
+from logiczono.sets import ConstrainedPolyLogicalZonotope, IdAllocator
 from conftest import naive_enumerate, random_cplz
 
 
-@pytest.fixture
-def restore_backend():
-    previous = kernels.backend()
-    yield
-    kernels.set_backend(previous)
-
-
-def test_backend_selection(restore_backend):
-    kernels.set_backend("numpy")
-    assert kernels.backend() == "numpy"
-    if kernels.HAVE_NUMBA:
-        kernels.set_backend("numba")
-        assert kernels.backend() == "numba"
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not importable")
-def test_backends_agree(restore_backend, rng, alloc):
-    for _ in range(40):
-        z = random_cplz(rng, alloc)
-        kernels.set_backend("numba")
-        via_numba = enumerate_points(z)
-        kernels.set_backend("numpy")
-        via_numpy = enumerate_points(z)
-        assert via_numba == via_numpy
-
-
-def test_numpy_backend_matches_reference(restore_backend, rng, alloc):
-    kernels.set_backend("numpy")
-    for _ in range(30):
-        z = random_cplz(rng, alloc)
+def test_sweep_matches_reference(rng, alloc):
+    sets = [random_cplz(rng, alloc) for _ in range(30)]
+    # n > 64 and m > 64 spread points and constraint rows over several words
+    for n, m_max in ((70, 2), (5, 70), (130, 66)):
+        sets += [random_cplz(rng, alloc, n=n, h_max=6, p_max=6, m_max=m_max, constrained=True)
+                 for _ in range(4)]
+    # only the constraint row in the second word excludes alpha = 1
+    a = np.zeros((70, 1), dtype=bool)
+    a[66, 0] = True
+    one = BitMatrix.identity(1)
+    sets.append(ConstrainedPolyLogicalZonotope(
+        BitVector.from01("0"), one, one, BitMatrix.from_bool(a), BitVector.from_bits(np.zeros(70, dtype=int)),
+        one, alloc.fresh(1)))
+    for z in sets:
         assert set(enumerate_points(z).to_bitstrings()) == naive_enumerate(z)
 
 
-def test_chunked_sweep(restore_backend, rng, alloc, monkeypatch):
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 3, 64, 65]), m_max=st.sampled_from([1, 3, 65]))
+def test_sweep_equals_naive_property(seed, n, m_max):
+    rng = np.random.default_rng(seed)
+    z = random_cplz(rng, IdAllocator(), n=n, h_max=6, p_max=7, m_max=m_max)
+    assert set(enumerate_points(z).to_bitstrings()) == naive_enumerate(z)
+
+
+def test_chunked_sweep(rng, alloc, monkeypatch):
     # force several chunks per sweep and compare against one-shot results
     z = random_cplz(rng, alloc, n=4, h_max=4, p_max=5, constrained=True)
     whole = enumerate_points(z)
@@ -49,14 +42,28 @@ def test_chunked_sweep(restore_backend, rng, alloc, monkeypatch):
     assert enumerate_points(z) == whole
 
 
-def test_limit_contract(rng):
-    # kernel fills at most `limit` rows even when more assignments satisfy
-    emasks = np.zeros(1, dtype=np.uint64)
-    gwords = np.ones((1, 1), dtype=np.uint64)
+def test_limit_contract():
+    # the kernel fills at most `limit` rows even when more assignments satisfy,
+    # and writes them in increasing alpha order
+    emasks = np.array([1, 2], dtype=np.uint64)
+    gwords = np.array([[1], [2]], dtype=np.uint64)
     cwords = np.zeros(1, dtype=np.uint64)
     nothing = np.zeros(0, dtype=np.uint64)
     awords = np.zeros((0, 0), dtype=np.uint64)
     out = np.zeros((4, 1), dtype=np.uint64)
-    for fn in filter(None, (kernels.sweep_chunk_numpy, kernels.sweep_chunk_numba)):
-        cnt = fn(0, 4, emasks, gwords, cwords, nothing, awords, nothing, out, 1)
-        assert cnt == 1
+    assert kernels.sweep_chunk(0, 4, emasks, gwords, cwords, nothing, awords, nothing, out, 1) == 1
+    assert out[0, 0] == 0
+    assert kernels.sweep_chunk(0, 4, emasks, gwords, cwords, nothing, awords, nothing, out, 3) == 3
+    assert out[:3, 0].tolist() == [0, 1, 2]
+    assert kernels.sweep_chunk(4, 8, emasks, gwords, cwords, nothing, awords, nothing, out, 4) == 4
+    assert out[:, 0].tolist() == [0, 1, 2, 3]
+
+
+def test_unaligned_block_rejected():
+    nothing = np.zeros(0, dtype=np.uint64)
+    out = np.zeros((4, 1), dtype=np.uint64)
+    args = (nothing, np.zeros((0, 1), dtype=np.uint64), np.zeros(1, dtype=np.uint64),
+            nothing, np.zeros((0, 0), dtype=np.uint64), nothing, out, 4)
+    for start, stop in ((0, 3), (2, 6), (4, 4)):
+        with pytest.raises(ValueError):
+            kernels.sweep_chunk(start, stop, *args)
