@@ -19,13 +19,7 @@ import numpy as np
 from .bitvec import BitMatrix, BitVector
 from .errors import BudgetExceeded, NetParseError
 from .network import parse_network
-from .points import (
-    DEFAULT_MAX_FACTORS,
-    EnumerationBudget,
-    PointSet,
-    count_points,
-    enumerate_points,
-)
+from .points import DEFAULT_MAX_FACTORS, EnumerationBudget, enumerate_points
 from .reach import ReachProblem, SafetySpec, check_unsafe, reach
 from .sets import (
     IdAllocator,
@@ -96,26 +90,6 @@ def _median_time_ms(fn) -> float:
 # --- reach -------------------------------------------------------------------
 
 
-def _split_subproblems(bindings: dict[str, list]) -> list[dict]:
-    """Cartesian product over union alternatives of each binding."""
-    problems = [dict()]
-    for name, alternatives in bindings.items():
-        problems = [dict(p, **{name: alt}) for p in problems for alt in alternatives]
-    return problems
-
-
-def _split_input_maps(per_step_or_single, steps: int):
-    if isinstance(per_step_or_single, list):
-        step_maps = per_step_or_single
-    else:
-        step_maps = [per_step_or_single] * steps
-    split = [_split_subproblems(m) for m in step_maps[:steps]]
-    combos = [list()]
-    for alternatives in split:
-        combos = [c + [alt] for c in combos for alt in alternatives]
-    return combos
-
-
 def cmd_reach(args) -> int:
     net = parse_network(_read_text(args.net))
     alloc = IdAllocator()
@@ -129,50 +103,23 @@ def cmd_reach(args) -> int:
             raise ValueError("the network declares inputs; provide --inputs")
         input_bindings = {}
 
-    init_combos = _split_subproblems(init_bindings)
-    input_combos = _split_input_maps(input_bindings, args.steps)
-    n_sub = len(init_combos) * len(input_combos)
-    if n_sub > 1:
-        _out(f"note: point-list bindings split the run into {n_sub} subproblems")
-
-    safety_sets = None
+    safety = None
     if args.unsafe:
         doc = _read_json(args.unsafe)
         if not isinstance(doc, dict) or "state" not in doc or "set" not in doc:
             raise ValueError('unsafe file must be {"state": NAME, "set": {...}}')
-        safety_sets = (doc["state"], setio.sets_from_json(doc["set"], alloc))
+        safety = SafetySpec(doc["state"], setio.load_set(doc["set"], alloc))
 
-    n_steps = args.steps + 1
-    times = [0.0] * n_steps
-    sizes: list[int | None] = [None] * n_steps
+    problem = ReachProblem(net=net, init=init_bindings, inputs=input_bindings, steps=args.steps)
+    result = reach(problem, mode=args.mode, alloc=alloc, budget=budget, rep=args.rep,
+                   with_sizes=args.enumerate)
+    times, sizes, n_steps = result.times, result.sizes, args.steps + 1
+    checking = safety is not None
     unsafe_at: list[BitVector | None] = [None] * n_steps
-    joint_points: list[PointSet | None] = [None] * n_steps
+    if checking:
+        for v in check_unsafe(result, safety, alloc, budget):
+            unsafe_at[v.step] = v.witness
 
-    for init_map in init_combos:
-        for input_steps in input_combos:
-            problem = ReachProblem(net=net, init=init_map, inputs=input_steps, steps=args.steps)
-            result = reach(problem, mode=args.mode, alloc=alloc, budget=budget, rep=args.rep)
-            for k in range(n_steps):
-                times[k] += result.times[k]
-            if args.enumerate:
-                for k in range(n_steps):
-                    if n_sub == 1:
-                        sizes[k] = count_points(result.joint(k), budget)
-                    else:
-                        pts = enumerate_points(result.joint(k), budget)
-                        joint_points[k] = pts if joint_points[k] is None else joint_points[k].union(pts)
-            if safety_sets is not None:
-                state_name, unsafe_alternatives = safety_sets
-                for unsafe_set in unsafe_alternatives:
-                    verdicts = check_unsafe(result, SafetySpec(state_name, unsafe_set), alloc, budget)
-                    for v in verdicts:
-                        if not v.safe and unsafe_at[v.step] is None:
-                            unsafe_at[v.step] = v.witness
-
-    if args.enumerate and n_sub > 1:
-        sizes = [len(p) if p is not None else None for p in joint_points]
-
-    checking = safety_sets is not None
     header = f"{'step':>4}  {'time_ms':>9}  {'size':>10}" + ("  verdict" if checking else "")
     _out(header)
     rows = []
@@ -201,7 +148,6 @@ def cmd_reach(args) -> int:
             "steps": args.steps,
             "rep": args.rep,
             "mode": args.mode,
-            "subproblems": n_sub,
             "per_step": rows,
         }
         if checking:
@@ -252,11 +198,8 @@ def cmd_intersect(args) -> int:
     if args.a or args.b:
         if not (args.a and args.b):
             raise ValueError("--a and --b must be given together")
-        sa = setio.sets_from_json(_read_json(args.a), alloc)
-        sb = setio.sets_from_json(_read_json(args.b), alloc)
-        if len(sa) != 1 or len(sb) != 1:
-            raise ValueError("explicit intersection operands must be single sets, not unions")
-        ca, cb = sa[0], sb[0]
+        ca = setio.load_set(_read_json(args.a), alloc)
+        cb = setio.load_set(_read_json(args.b), alloc)
         ms = _median_time_ms(lambda: intersect(ca, cb, alloc))
         pts = enumerate_points(intersect(ca, cb, alloc), budget)
         rec = {"kind": "cplz", "operation": "intersect", "time_ms": round(ms, 4),
@@ -309,10 +252,7 @@ def cmd_intersect(args) -> int:
 def cmd_enumerate(args) -> int:
     alloc = IdAllocator()
     budget = _budget_from(args)
-    parts = setio.sets_from_json(_read_json(args.set), alloc)
-    pts = enumerate_points(parts[0], budget)
-    for extra in parts[1:]:
-        pts = pts.union(enumerate_points(extra, budget))
+    pts = enumerate_points(setio.load_set(_read_json(args.set), alloc), budget)
     _out(json.dumps(pts.to_bitstrings()))
     return 0
 

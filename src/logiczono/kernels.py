@@ -10,7 +10,9 @@ where F[m] is the XOR of the payloads whose mask is m. T is the binary
 zeta transform of F and takes one in-place pass per factor bit over a
 table of all assignments: O(p * 2^p + h) word operations instead of the
 O(h * 2^p) of testing every column against every assignment (Joux,
-*Algorithmic Cryptanalysis*, 2009, ch. 9).
+*Algorithmic Cryptanalysis*, 2009, ch. 9). Over GF(2) the transform is
+its own inverse (the Moebius transform), so the same pass also turns a
+table of points back into its generators: ``points.encode_points``.
 
 Precondition: ``[start, stop)`` is an aligned power-of-two block, i.e.
 ``stop - start == 2^k`` and ``start`` is a multiple of ``2^k``. Every
@@ -24,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def _subset_xor(start: int, stop: int, masks: np.ndarray, payloads: np.ndarray, words: int) -> np.ndarray:
+def subset_xor(start: int, stop: int, masks: np.ndarray, payloads: np.ndarray, words: int) -> np.ndarray:
     """(stop - start, words) table; row i is the XOR of the payloads whose mask
     is a subset of start + i."""
     size = stop - start
@@ -53,11 +55,11 @@ def sweep_chunk(start, stop, emasks, gwords, cwords, rmasks, awords, bwords, out
     size = stop - start
     if size <= 0 or size & (size - 1) or start % size:
         raise ValueError(f"[{start}, {stop}) is not an aligned power-of-two block")
-    acc = _subset_xor(start, stop, rmasks, awords, bwords.shape[0])
+    acc = subset_xor(start, stop, rmasks, awords, bwords.shape[0])
     hits = np.flatnonzero((acc == bwords).all(axis=1))[:limit]
     del acc  # hold one full table at a time
     cnt = hits.shape[0]
     if cnt:
-        vals = _subset_xor(start, stop, emasks, gwords, cwords.shape[0])
+        vals = subset_xor(start, stop, emasks, gwords, cwords.shape[0])
         np.bitwise_xor(vals[hits], cwords, out=out[:cnt])
     return cnt

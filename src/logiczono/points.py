@@ -2,7 +2,8 @@
 
 Converts generator-domain sets to explicit point sets by sweeping all
 factor assignments that satisfy the constraints, and provides brute-force
-set operations for equivalence testing. The sweep cost is 2^p, so it is
+set operations for equivalence testing; encodes a point list back into
+one exact set with the same transform. The sweep cost is 2^p, so it is
 guarded by an EnumerationBudget; sets whose monomials all have degree at
 most one (plain logical zonotopes and anything promoted from one) are
 affine subspaces over GF(2) and are counted or materialized through a
@@ -17,10 +18,11 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .bitvec import BitVector, Gate, n_words, pack_bool_rows, pad_mask
+from .bitvec import BitMatrix, BitVector, Gate, n_words, pack_bool_rows, pad_mask
 from .errors import BudgetExceeded, DimensionError
 from .sets import (
     ConstrainedPolyLogicalZonotope,
+    IdAllocator,
     LogicalZonotope,
     as_cplz,
 )
@@ -167,6 +169,39 @@ def pointset_complement(p: PointSet) -> PointSet:
 def sets_equal(p1: PointSet, p2: PointSet) -> bool:
     """True iff same dimension and identical point collections."""
     return p1.n == p2.n and bool(np.array_equal(p1.rows, p2.rows))
+
+
+# --- point domain -> generator domain ---------------------------------------
+
+
+def encode_points(points: Iterable[BitVector], alloc: IdAllocator) -> ConstrainedPolyLogicalZonotope:
+    """One exact unconstrained set whose points are exactly the listed ones.
+
+    The K distinct points, in listed order, fill an index -> point table
+    over k = ceil(log2 K) fresh factors, padded to 2^k entries with the
+    first point. The subset-XOR transform is its own inverse over GF(2),
+    so on the table it yields the algebraic normal form F, with
+    table[alpha] == XOR of F[m] over m subset-of alpha: F[0] is the
+    center (the first point) and each nonzero F[m] one generator with
+    exponent column m. One point is a singleton; two are the center plus
+    the generator x0 ^ x1 under an identity exponent.
+    """
+    points = list(dict.fromkeys(points))
+    if not points:
+        raise ValueError("a point list must contain at least one point")
+    widths = {v.n for v in points}
+    if len(widths) != 1:
+        raise ValueError(f"points of mixed lengths: {sorted(widths)}")
+    n = points[0].n
+    k = (len(points) - 1).bit_length()
+    size = 1 << k
+    table = np.stack([v.words for v in points] + [points[0].words] * (size - len(points)))
+    anf = kernels.subset_xor(0, size, np.arange(size, dtype=np.uint64), table, n_words(n))
+    cols = np.flatnonzero(anf.any(axis=1)[1:]) + 1
+    exponents = (cols[None, :] >> np.arange(k)[:, None]) & 1
+    return ConstrainedPolyLogicalZonotope.unconstrained(
+        BitVector(n, anf[0]), BitMatrix(n, anf[cols]), BitMatrix.from_bool(exponents), alloc.fresh(k)
+    )
 
 
 # --- generator domain -> point domain ---------------------------------------

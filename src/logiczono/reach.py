@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bitvec import BitVector, concat
-from .errors import DimensionError
+from .errors import BudgetExceeded, DimensionError
 from .network import NetworkSpec, eval_expr_point, eval_expr_sets
 from .points import (
     EnumerationBudget,
@@ -177,8 +177,17 @@ def reach(
 
     if with_sizes:
         for k in range(len(result.steps)):
-            result.sizes[k] = count_points(result.joint(k), budget)
+            joint = result.joint(k)
+            result.sizes[k] = _budgeted(count_points, joint, budget, f"step {k} joint state set")
     return result
+
+
+def _budgeted(fn, s: CPLZ, budget: EnumerationBudget | None, what: str):
+    """fn(s, budget), with a budget failure naming the step and the set."""
+    try:
+        return fn(s, budget)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"{what} (h={s.h}, p={s.p}): {exc}") from exc
 
 
 def check_unsafe(
@@ -191,7 +200,9 @@ def check_unsafe(
     is empty; an UNSAFE verdict carries a witness point from the overlap."""
     if safety.state not in result.state_names:
         raise ValueError(f"{safety.state} is not a state of this result")
-    alloc = alloc or IdAllocator(10**6)
+    # the overlaps take every id fresh from this allocator and never leave this
+    # function, so a private allocator cannot collide with the caller's ids
+    alloc = alloc or IdAllocator()
     verdicts = []
     for k, sets in enumerate(result.steps):
         state_set = sets[safety.state]
@@ -200,7 +211,7 @@ def check_unsafe(
                 f"unsafe set dimension {safety.unsafe.n} != state width {state_set.n}"
             )
         overlap = intersect(state_set, safety.unsafe, alloc)
-        witness = witness_point(overlap, budget)
+        witness = _budgeted(witness_point, overlap, budget, f"step {k} {safety.state} ∩ unsafe")
         verdicts.append(StepVerdict(step=k, safe=witness is None, witness=witness))
     return verdicts
 

@@ -11,27 +11,24 @@ Matrices are serialized column-wise as bitstrings whose length equals the
 row count; absent fields default to empty. Index 0 of a bitstring is the
 leftmost character.
 
-The shorthand {"points": ["bitstring", ...]} converts to an unconstrained
-set with the first point as center and one generator per additional point
-under identity exponents. That is exact only when the listed points form
-a GF(2) affine subspace (so the count is a power of two); other lists are
-split into exactly-representable chunks that together cover the list, and
-callers treat the result as a union.
+The shorthand {"points": ["bitstring", ...]} is always one exact
+unconstrained set (``points.encode_points``): K distinct points take
+ceil(log2 K) fresh factors, the first point is the center, and one or two
+points give a singleton or a single generator under an identity exponent.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
-from .bitvec import BitMatrix, BitVector, Gate, elementwise_gate
-from .points import PointSet
+from .bitvec import BitMatrix, BitVector
+from .points import encode_points
 from .sets import (
     ConstrainedPolyLogicalZonotope,
     IdAllocator,
     LogicalZonotope,
     PolyLogicalZonotope,
+    as_cplz,
 )
 
 CPLZ = ConstrainedPolyLogicalZonotope
@@ -81,7 +78,7 @@ def set_to_json(s) -> dict:
 def set_from_json(doc: dict):
     """Parse one exchange document into its declared representation."""
     if "points" in doc:
-        raise ValueError("point-list shorthand describes a union; load it with sets_from_json")
+        raise ValueError("point-list shorthand needs fresh factor ids; load it with load_set")
     kind = doc.get("kind")
     if kind not in ("lz", "plz", "cplz"):
         raise ValueError(f"unknown set kind {kind!r}")
@@ -102,82 +99,24 @@ def set_from_json(doc: dict):
     return ConstrainedPolyLogicalZonotope(c, G, E, A, b, R, ids)
 
 
-def _affine_rank(points: list[BitVector]) -> int:
-    base = points[0].bits()
-    diffs = np.array([p.bits() ^ base for p in points[1:]], dtype=bool)
-    if diffs.size == 0:
-        return 0
-    # GF(2) rank by elimination over the boolean rows
-    rank = 0
-    mat = diffs.copy()
-    rows, cols = mat.shape
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if mat[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[[rank, pivot]] = mat[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and mat[r, col]:
-                mat[r] ^= mat[rank]
-        rank += 1
-    return rank
+def set_from_points(strings: list[str], alloc: IdAllocator) -> CPLZ:
+    """The exact set of a bitstring list (duplicates ignored)."""
+    return encode_points([BitVector.from01(v) for v in strings], alloc)
 
 
-def _points_chunk_to_set(points: list[BitVector], alloc: IdAllocator) -> CPLZ:
-    center = points[0]
-    gens = [elementwise_gate(Gate.XOR, center, p) for p in points[1:]]
-    G = BitMatrix.from_columns(gens, center.n)
-    return ConstrainedPolyLogicalZonotope.unconstrained(
-        center, G, BitMatrix.identity(G.cols), alloc.fresh(G.cols)
-    )
-
-
-def sets_from_points(strings: list[str], alloc: IdAllocator) -> list[CPLZ]:
-    """Convert a point list into one set when exactly representable, else a union.
-
-    A deduplicated list is representable iff it is affinely closed over
-    GF(2); otherwise it is covered by pairs (always exact) plus at most
-    one singleton.
-    """
-    points = list(dict.fromkeys(BitVector.from01(s) for s in strings))
-    if not points:
-        raise ValueError("a point list must contain at least one point")
-    widths = {p.n for p in points}
-    if len(widths) != 1:
-        raise ValueError(f"points of mixed lengths: {sorted(widths)}")
-    if len(points) == (1 << _affine_rank(points)):
-        return [_points_chunk_to_set(points, alloc)]
-    return [
-        _points_chunk_to_set(points[i : i + 2], alloc) for i in range(0, len(points), 2)
-    ]
-
-
-def sets_from_json(doc, alloc: IdAllocator) -> list[CPLZ]:
-    """Load one binding value: an exchange document or the points shorthand.
-
-    Returns a list of constrained sets whose union is the described set;
-    the list has one element whenever the description is exactly
-    representable as a single set.
-    """
+def load_set(doc, alloc: IdAllocator) -> CPLZ:
+    """Load one binding value, an exchange document or the points shorthand,
+    as a constrained set."""
     if isinstance(doc, dict) and "points" in doc:
-        return sets_from_points(doc["points"], alloc)
-    s = set_from_json(doc)
-    if isinstance(s, LogicalZonotope):
-        s = PolyLogicalZonotope(s.c, s.G, BitMatrix.identity(s.h), alloc.fresh(s.h))
-    if isinstance(s, PolyLogicalZonotope):
-        s = ConstrainedPolyLogicalZonotope.unconstrained(s.c, s.G, s.E, s.id)
-    return [s]
+        return set_from_points(doc["points"], alloc)
+    return as_cplz(set_from_json(doc), alloc)
 
 
-def load_bindings(doc: dict, alloc: IdAllocator) -> dict[str, list[CPLZ]]:
+def load_bindings(doc: dict, alloc: IdAllocator) -> dict[str, CPLZ]:
     """A bindings file: JSON object mapping variable names to set documents."""
     if not isinstance(doc, dict):
         raise ValueError("bindings must be a JSON object mapping names to sets")
-    return {name: sets_from_json(value, alloc) for name, value in doc.items()}
+    return {name: load_set(value, alloc) for name, value in doc.items()}
 
 
 def load_input_bindings(doc, alloc: IdAllocator):
@@ -185,10 +124,6 @@ def load_input_bindings(doc, alloc: IdAllocator):
     if isinstance(doc, list):
         return [load_bindings(step, alloc) for step in doc]
     return load_bindings(doc, alloc)
-
-
-def pointset_to_json(p: PointSet) -> list[str]:
-    return p.to_bitstrings()
 
 
 def read_json(path: str):

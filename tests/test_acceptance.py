@@ -36,7 +36,7 @@ from logiczono.sets import (
     negate,
     promote,
 )
-from logiczono.setio import read_json, sets_from_json
+from logiczono.setio import load_bindings, read_json
 from conftest import random_cplz, random_network_setup
 
 DATA = resources.files("logiczono") / "data"
@@ -190,8 +190,8 @@ def test_criterion_5_reachability_matches_exhaustive_simulation():
 def test_criterion_6_shipped_circuit_run():
     net = parse_network((DATA / "circuit3x10.bn").read_text())
     alloc = IdAllocator()
-    init = {k: sets_from_json(v, alloc)[0] for k, v in read_json(str(DATA / "circuit3x10_init.json")).items()}
-    inputs = {k: sets_from_json(v, alloc)[0] for k, v in read_json(str(DATA / "circuit3x10_inputs.json")).items()}
+    init = load_bindings(read_json(str(DATA / "circuit3x10_init.json")), alloc)
+    inputs = load_bindings(read_json(str(DATA / "circuit3x10_inputs.json")), alloc)
     prob = ReachProblem(net=net, init=init, inputs=inputs, steps=5)
     budget = EnumerationBudget()
     t0 = time.monotonic()

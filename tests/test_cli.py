@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from logiczono.cli import main
+from logiczono.network import parse_network
+from logiczono.points import PointSet
+from logiczono.reach import exhaustive_reach
 
 DATA = resources.files("logiczono") / "data"
 
@@ -107,16 +110,45 @@ def test_reach_example_circuit(tmp_path, capsys):
     assert [row["size"] for row in doc["per_step"]] == [64, 150, 180]
 
 
-def test_reach_union_split(tmp_path, capsys):
-    net3 = tmp_path / "wide.bn"
-    net3.write_text("state b[2]\nnext b = b\n")
-    init3 = write(tmp_path / "init3.json", {"b": {"points": ["00", "01", "10"]}})
-    code = main(["reach", "--net", str(net3), "--init", init3, "--steps", "2", "--enumerate"])
+def test_reach_point_lists_single_run(tmp_path, capsys):
+    # 3-point lists are one exact set each: a single run whose counts and
+    # verdicts match exhaustive simulation
+    net = tmp_path / "t.bn"
+    net.write_text("state b[3]\ninput u[3]\nnext b = (b & u) ^ ~b\n")
+    init, inputs, bad = ["000", "011", "101"], ["001", "110", "111"], ["001", "010", "100"]
+    report = tmp_path / "r.json"
+    code = main([
+        "reach", "--net", str(net), "--steps", "3", "--enumerate", "--json", str(report),
+        "--init", write(tmp_path / "i.json", {"b": {"points": init}}),
+        "--inputs", write(tmp_path / "u.json", {"u": {"points": inputs}}),
+        "--unsafe", write(tmp_path / "bad.json", {"state": "b", "set": {"points": bad}}),
+    ])
     out = capsys.readouterr().out
-    assert code == 0
-    assert "subproblems" in out
-    sizes = [l.split()[2] for l in out.splitlines() if l.strip() and l.strip()[0].isdigit()]
-    assert sizes == ["3", "3"]
+    assert code == 1
+    assert "subproblems" not in out and "subproblems" not in report.read_text()
+    oracle = exhaustive_reach(
+        parse_network(net.read_text()),
+        {"b": PointSet.from_bitstrings(init)}, {"u": PointSet.from_bitstrings(inputs)}, 3,
+    )
+    doc = json.loads(report.read_text())
+    assert [row["size"] for row in doc["per_step"]] == [len(p) for p in oracle[1:]] == [4, 5, 5]
+    assert [row["verdict"] for row in doc["per_step"]] == ["SAFE", "UNSAFE", "UNSAFE"]
+    assert doc["step0_verdict"] == "SAFE"
+
+
+def test_reach_budget_names_the_step(tmp_path, capsys):
+    # the shipped circuit with a third point in B1 and in U1: the step-6
+    # joint set has 28 factors, over the default cap of 24
+    init = json.loads((DATA / "circuit3x10_init.json").read_text())
+    inputs = json.loads((DATA / "circuit3x10_inputs.json").read_text())
+    init["B1"]["points"].append("1111100000")
+    inputs["U1"]["points"].append("0000011111")
+    code = main([
+        "reach", "--net", str(DATA / "circuit3x10.bn"), "--steps", "6", "--enumerate",
+        "--init", write(tmp_path / "i.json", init), "--inputs", write(tmp_path / "u.json", inputs),
+    ])
+    assert code == 3
+    assert "step 6 joint state set" in capsys.readouterr().err
 
 
 def test_enumerate_singleton(tmp_path, capsys):

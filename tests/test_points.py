@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from logiczono.bitvec import BitMatrix, BitVector, Gate
+from logiczono.bitvec import BitMatrix, BitVector, Gate, elementwise_gate
 from logiczono.errors import BudgetExceeded, DimensionError
 from logiczono.points import (
     EnumerationBudget,
     PointSet,
     contains,
     count_points,
+    encode_points,
     enumerate_points,
     is_empty,
     pointset_gate,
@@ -15,6 +19,7 @@ from logiczono.points import (
 )
 from logiczono.sets import (
     ConstrainedPolyLogicalZonotope as CPLZ,
+    IdAllocator,
     LogicalZonotope,
     intersect,
     promote,
@@ -179,3 +184,33 @@ def test_count_matches_enumeration(rng, alloc):
     for _ in range(20):
         z = random_cplz(rng, alloc)
         assert count_points(z) == len(enumerate_points(z))
+
+
+def _point_lists(n):
+    point = st.integers(0, 2**n - 1).map(lambda v: format(v, f"0{n}b"))
+    return st.lists(point, min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 130).flatmap(_point_lists))
+def test_encode_points_is_exact(strings):
+    z = encode_points([BitVector.from01(s) for s in strings], IdAllocator())
+    assert z.m == 0 and z.p == math.ceil(math.log2(len(set(strings))))
+    assert z.c == BitVector.from01(strings[0])
+    assert enumerate_points(z) == set01(strings)
+
+
+@pytest.mark.parametrize(
+    "strings",
+    [["101"], ["1001", "0110"], ["0110", "0110", "1111"], ["1" * 130, "01" * 65]],
+)
+def test_encode_points_pairs_and_singletons(strings):
+    # one or two points: the first point as center and x0 ^ x1 under an
+    # identity exponent, the encoding the point shorthand has always used
+    points = list(dict.fromkeys(BitVector.from01(s) for s in strings))
+    gens = [elementwise_gate(Gate.XOR, points[0], x) for x in points[1:]]
+    z = encode_points(points, IdAllocator())
+    assert z.c == points[0]
+    assert z.G == BitMatrix.from_columns(gens, points[0].n)
+    assert z.E == BitMatrix.identity(len(gens))
+    assert z.p == len(gens)

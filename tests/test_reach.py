@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from logiczono.bitvec import BitVector
-from logiczono.errors import DimensionError
+from logiczono.errors import BudgetExceeded, DimensionError
 from logiczono.network import parse_network
-from logiczono.points import PointSet, enumerate_points
+from logiczono.points import EnumerationBudget, PointSet, enumerate_points
 from logiczono.reach import (
     ReachProblem,
     SafetySpec,
@@ -13,18 +13,12 @@ from logiczono.reach import (
     reach,
 )
 from logiczono.sets import ConstrainedPolyLogicalZonotope as CPLZ
-from logiczono.setio import sets_from_points
+from logiczono.setio import set_from_points as points_set
 from conftest import random_network_setup as _random_network_setup
 
 
 def set01(strings):
     return PointSet.from_bitstrings(strings)
-
-
-def points_set(strs, alloc):
-    parts = sets_from_points(strs, alloc)
-    assert len(parts) == 1
-    return parts[0]
 
 
 def test_identity_network(alloc):
@@ -130,8 +124,6 @@ def test_reach_matches_exhaustive_simulation(alloc):
 def test_minkowski_superset_of_exact(alloc):
     # independent factors pile up fast in minkowski mode, so only instances
     # whose joint sets stay within the default sweep budget are checked
-    from logiczono.errors import BudgetExceeded
-
     rng = np.random.default_rng(78)
     checked = 0
     for _ in range(10):
@@ -203,3 +195,43 @@ def test_witness_is_in_both_sets(alloc):
         if not v.safe:
             assert v.witness in enumerate_points(sets["b"])
             assert v.witness in enumerate_points(unsafe)
+
+
+def test_reach_with_point_lists_matches_exhaustive_simulation(alloc):
+    # 3- and 4-point lists are each one exact set over two factors
+    rng = np.random.default_rng(80)
+    checked = 0
+    while checked < 10:
+        net, _, _, _, _ = _random_network_setup(rng, alloc)
+        if min(net.widths.values()) < 2:
+            continue
+        strs = {
+            name: [format(int(v), "02b") for v in rng.permutation(4)[: int(rng.integers(3, 5))]]
+            for name in net.widths
+        }
+        sets = {name: points_set(v, alloc) for name, v in strs.items()}
+        assert all(s.p == 2 for s in sets.values())
+        pts = {name: set01(v) for name, v in strs.items()}
+        states, inputs = net.state_names, net.input_names
+        steps = int(rng.integers(1, 4))
+        prob = ReachProblem(
+            net=net,
+            init={k: sets[k] for k in states},
+            inputs={k: sets[k] for k in inputs},
+            steps=steps,
+        )
+        res = reach(prob, mode="exact", alloc=alloc)
+        oracle = exhaustive_reach(
+            net, {k: pts[k] for k in states}, {k: pts[k] for k in inputs}, steps
+        )
+        for k in range(steps + 1):
+            assert enumerate_points(res.joint(k)) == oracle[k]
+        checked += 1
+
+
+def test_unsafe_budget_error_names_step_and_set(alloc):
+    net = parse_network("state b[1]\nnext b = b\n")
+    res = reach(ReachProblem(net=net, init={"b": points_set(["0", "1"], alloc)}, steps=1), alloc=alloc)
+    unsafe = SafetySpec("b", points_set(["0", "1"], alloc))
+    with pytest.raises(BudgetExceeded, match=r"^step 0 b ∩ unsafe \(h=1, p=2\): "):
+        check_unsafe(res, unsafe, alloc, EnumerationBudget(max_factors=1))

@@ -12,8 +12,8 @@ from logiczono.setio import (
     load_bindings,
     load_input_bindings,
     set_from_json,
+    set_from_points,
     set_to_json,
-    sets_from_points,
 )
 from conftest import random_cplz
 
@@ -75,41 +75,38 @@ def test_unknown_kind():
 
 
 def test_points_shorthand_pair(alloc):
-    parts = sets_from_points(["1001", "0110"], alloc)
-    assert len(parts) == 1
-    assert enumerate_points(parts[0]) == PointSet.from_bitstrings(["1001", "0110"])
+    z = set_from_points(["1001", "0110"], alloc)
+    assert z.p == 1
+    assert enumerate_points(z) == PointSet.from_bitstrings(["1001", "0110"])
 
 
 def test_points_shorthand_affine_quad(alloc):
     quad = ["00", "01", "10", "11"]
-    parts = sets_from_points(quad, alloc)
-    assert len(parts) == 1
-    assert enumerate_points(parts[0]) == PointSet.from_bitstrings(quad)
+    z = set_from_points(quad, alloc)
+    assert z.p == 2
+    assert enumerate_points(z) == PointSet.from_bitstrings(quad)
 
 
 def test_points_shorthand_singleton(alloc):
-    parts = sets_from_points(["111"], alloc)
-    assert len(parts) == 1 and parts[0].h == 0
+    z = set_from_points(["111"], alloc)
+    assert z.h == 0 and z.p == 0
 
 
-def test_points_shorthand_splits_non_affine(alloc):
+def test_points_shorthand_non_affine_is_one_set(alloc):
     three = ["00", "01", "10"]
-    parts = sets_from_points(three, alloc)
-    assert len(parts) == 2
-    union = enumerate_points(parts[0])
-    for extra in parts[1:]:
-        union = union.union(enumerate_points(extra))
-    assert union == PointSet.from_bitstrings(three)
+    z = set_from_points(three, alloc)
+    assert isinstance(z, CPLZ) and z.p == 2 and z.m == 0
+    assert enumerate_points(z) == PointSet.from_bitstrings(three)
 
 
 def test_points_shorthand_dedup(alloc):
-    parts = sets_from_points(["01", "01"], alloc)
-    assert len(parts) == 1 and parts[0].h == 0
+    z = set_from_points(["01", "01"], alloc)
+    assert z.h == 0
 
 
 def test_points_mixed_lengths_rejected(alloc):
     with pytest.raises(ValueError):
-        sets_from_points(["0", "00"], alloc)
+        set_from_points(["0", "00"], alloc)
 
 
 def test_load_bindings(alloc):
@@ -119,12 +116,12 @@ def test_load_bindings(alloc):
     }
     bound = load_bindings(doc, alloc)
     assert set(bound) == {"a", "b"}
-    assert len(bound["a"]) == 1 and isinstance(bound["a"][0], CPLZ)
-    assert enumerate_points(bound["b"][0]) == PointSet.from_bitstrings(["1"])
+    assert isinstance(bound["a"], CPLZ) and isinstance(bound["b"], CPLZ)
+    assert enumerate_points(bound["b"]) == PointSet.from_bitstrings(["1"])
 
 
 def test_load_input_bindings_per_step(alloc):
     doc = [{"u": {"points": ["0"]}}, {"u": {"points": ["1"]}}]
     per_step = load_input_bindings(doc, alloc)
     assert isinstance(per_step, list) and len(per_step) == 2
-    assert enumerate_points(per_step[1]["u"][0]) == PointSet.from_bitstrings(["1"])
+    assert enumerate_points(per_step[1]["u"]) == PointSet.from_bitstrings(["1"])
