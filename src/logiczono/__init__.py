@@ -1,4 +1,4 @@
-"""Logical zonotope set representations over GF(2).
+"""Constrained polynomial logical zonotopes over GF(2).
 
 Exact generator-space logical operations, exact set intersection, and
 N-step reachability analysis of boolean networks, validated against a
@@ -29,8 +29,6 @@ from .reach import (
 from .sets import (
     ConstrainedPolyLogicalZonotope,
     IdAllocator,
-    LogicalZonotope,
-    PolyLogicalZonotope,
     canonicalize,
     derived_gate,
     exact_and,
@@ -41,7 +39,6 @@ from .sets import (
     mink_and,
     mink_xor,
     negate,
-    promote,
     stack,
 )
 
@@ -56,11 +53,9 @@ __all__ = [
     "EnumerationBudget",
     "Gate",
     "IdAllocator",
-    "LogicalZonotope",
     "NetParseError",
     "NetworkSpec",
     "PointSet",
-    "PolyLogicalZonotope",
     "ReachProblem",
     "ReachResult",
     "SafetySpec",
@@ -86,7 +81,6 @@ __all__ = [
     "negate",
     "parse_network",
     "pointset_gate",
-    "promote",
     "reach",
     "sets_equal",
     "stack",

@@ -20,16 +20,8 @@ from .bitvec import BitMatrix, BitVector
 from .errors import BudgetExceeded, NetParseError
 from .network import parse_network
 from .points import DEFAULT_MAX_FACTORS, EnumerationBudget, enumerate_points
-from .reach import ReachProblem, SafetySpec, check_unsafe, reach
-from .sets import (
-    IdAllocator,
-    LogicalZonotope,
-    as_cplz,
-    intersect,
-    intersect_overapprox_lz,
-    mink_and,
-    promote,
-)
+from .reach import ReachProblem, SafetySpec, check_unsafe, joint_size, reach
+from .sets import CPLZ, IdAllocator, intersect, intersect_overapprox_lz, mink_and
 from . import setio
 
 TIMING_REPS = 10  # median of this many runs, after one discarded warm-up
@@ -111,9 +103,8 @@ def cmd_reach(args) -> int:
         safety = SafetySpec(doc["state"], setio.load_set(doc["set"], alloc))
 
     problem = ReachProblem(net=net, init=init_bindings, inputs=input_bindings, steps=args.steps)
-    result = reach(problem, mode=args.mode, alloc=alloc, budget=budget, rep=args.rep,
-                   with_sizes=args.enumerate)
-    times, sizes, n_steps = result.times, result.sizes, args.steps + 1
+    result = reach(problem, mode=args.mode, alloc=alloc, budget=budget, rep=args.rep)
+    times, n_steps = result.times, args.steps + 1
     checking = safety is not None
     unsafe_at: list[BitVector | None] = [None] * n_steps
     if checking:
@@ -124,8 +115,10 @@ def cmd_reach(args) -> int:
     _out(header)
     rows = []
     for k in range(1, n_steps):
-        size_txt = str(sizes[k]) if sizes[k] is not None else "not enumerated"
-        row = {"step": k, "time_ms": round(times[k] * 1e3, 3), "size": sizes[k]}
+        # counted row by row, so a budget failure at step k keeps rows 1..k-1
+        size = joint_size(result, k, budget) if args.enumerate else None
+        size_txt = str(size) if size is not None else "not enumerated"
+        row = {"step": k, "time_ms": round(times[k] * 1e3, 3), "size": size}
         line = f"{k:>4}  {times[k] * 1e3:>9.3f}  {size_txt:>10}"
         if checking:
             verdict = "UNSAFE" if unsafe_at[k] is not None else "SAFE"
@@ -162,20 +155,18 @@ def cmd_reach(args) -> int:
 # --- intersect ---------------------------------------------------------------
 
 
-def _random_lz(rng: np.random.Generator, dim: int, gens: int) -> LogicalZonotope:
+def _random_lz(rng: np.random.Generator, dim: int, gens: int, alloc: IdAllocator) -> CPLZ:
     c = BitVector.from_bits(rng.integers(0, 2, size=dim))
     G = BitMatrix.from_bool(rng.integers(0, 2, size=(dim, gens)).astype(bool))
-    return LogicalZonotope(c, G)
+    return CPLZ.lz(c, G, alloc)
 
 
-def _intersection_routes(l1: LogicalZonotope, l2: LogicalZonotope, alloc: IdAllocator, budget):
+def _intersection_routes(l1: CPLZ, l2: CPLZ, alloc: IdAllocator, budget):
     """LZ overapproximation, polynomial overapproximation, exact intersection."""
-    p1 = as_cplz(promote(l1, alloc))
-    p2 = as_cplz(promote(l2, alloc))
     routes = {
-        "lz": (lambda: intersect_overapprox_lz(l1, l2)),
-        "plz": (lambda: mink_and(p1, p2, alloc)),
-        "cplz": (lambda: intersect(p1, p2, alloc)),
+        "lz": (lambda: intersect_overapprox_lz(l1, l2, alloc)),
+        "plz": (lambda: mink_and(l1, l2, alloc)),
+        "cplz": (lambda: intersect(l1, l2, alloc)),
     }
     records = {}
     points = {}
@@ -185,7 +176,7 @@ def _intersection_routes(l1: LogicalZonotope, l2: LogicalZonotope, alloc: IdAllo
         pts = enumerate_points(result, budget)
         records[kind] = {"time_ms": round(ms, 4), "size": len(pts)}
         points[kind] = pts
-    if not points["cplz"].issubset(points["lz"]) or not points["cplz"].issubset(points["plz"]):
+    if not points["cplz"].issubset(points["plz"]) or not points["plz"].issubset(points["lz"]):
         raise AssertionError("exact intersection escaped an overapproximation; this is a bug")
     return records, points
 
@@ -212,8 +203,8 @@ def cmd_intersect(args) -> int:
              f"  {'cplz_ms':>8} {'cplz_size':>10}")
         for t in range(args.trials):
             rng = np.random.default_rng([args.seed, t])
-            l1 = _random_lz(rng, args.dim, gens)
-            l2 = _random_lz(rng, args.dim, gens)
+            l1 = _random_lz(rng, args.dim, gens, alloc)
+            l2 = _random_lz(rng, args.dim, gens, alloc)
             recs, _ = _intersection_routes(l1, l2, alloc, budget)
             for kind in ("lz", "plz", "cplz"):
                 records.append({

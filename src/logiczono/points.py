@@ -4,10 +4,10 @@ Converts generator-domain sets to explicit point sets by sweeping all
 factor assignments that satisfy the constraints, and provides brute-force
 set operations for equivalence testing; encodes a point list back into
 one exact set with the same transform. The sweep cost is 2^p, so it is
-guarded by an EnumerationBudget; sets whose monomials all have degree at
-most one (plain logical zonotopes and anything promoted from one) are
-affine subspaces over GF(2) and are counted or materialized through a
-basis instead of a sweep.
+guarded by an EnumerationBudget; unconstrained sets whose monomials all
+have degree at most one (logical zonotopes among them) are affine
+subspaces over GF(2) and are counted or materialized through a basis
+instead of a sweep, whatever their factor count.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ import numpy as np
 from . import kernels
 from .bitvec import BitMatrix, BitVector, Gate, n_words, pack_bool_rows, pad_mask
 from .errors import BudgetExceeded, DimensionError
-from .sets import (
-    ConstrainedPolyLogicalZonotope,
-    IdAllocator,
-    LogicalZonotope,
-    as_cplz,
-)
+from .sets import CPLZ, IdAllocator
 
 DEFAULT_MAX_FACTORS = 24
 DEFAULT_MAX_POINTS = 2_000_000
@@ -123,11 +118,6 @@ class PointSet:
         merged = _unique_rows(np.concatenate([self.rows, other.rows]))
         return merged.shape[0] == other.rows.shape[0]
 
-    def union(self, other: "PointSet") -> "PointSet":
-        if self.n != other.n:
-            raise DimensionError(f"dimensions differ: {self.n} != {other.n}")
-        return PointSet(self.n, np.concatenate([self.rows, other.rows]))
-
     def bitvectors(self) -> list[BitVector]:
         return [BitVector(self.n, row) for row in self.rows]
 
@@ -174,7 +164,7 @@ def sets_equal(p1: PointSet, p2: PointSet) -> bool:
 # --- point domain -> generator domain ---------------------------------------
 
 
-def encode_points(points: Iterable[BitVector], alloc: IdAllocator) -> ConstrainedPolyLogicalZonotope:
+def encode_points(points: Iterable[BitVector], alloc: IdAllocator) -> CPLZ:
     """One exact unconstrained set whose points are exactly the listed ones.
 
     The K distinct points, in listed order, fill an index -> point table
@@ -199,7 +189,7 @@ def encode_points(points: Iterable[BitVector], alloc: IdAllocator) -> Constraine
     anf = kernels.subset_xor(0, size, np.arange(size, dtype=np.uint64), table, n_words(n))
     cols = np.flatnonzero(anf.any(axis=1)[1:]) + 1
     exponents = (cols[None, :] >> np.arange(k)[:, None]) & 1
-    return ConstrainedPolyLogicalZonotope.unconstrained(
+    return CPLZ.unconstrained(
         BitVector(n, anf[0]), BitMatrix(n, anf[cols]), BitMatrix.from_bool(exponents), alloc.fresh(k)
     )
 
@@ -255,7 +245,7 @@ class _SpanForm:
         return PointSet(self.n, pts)
 
 
-def _span_form(c: ConstrainedPolyLogicalZonotope) -> _SpanForm | None:
+def _span_form(c: CPLZ) -> _SpanForm | None:
     """Detect sets whose monomials all have degree <= 1 (no effective constraints).
 
     Columns sharing a factor aggregate by XOR; degree-0 columns fold into
@@ -286,16 +276,12 @@ def _span_form(c: ConstrainedPolyLogicalZonotope) -> _SpanForm | None:
     return _SpanForm(c.n, offset, _gf2_basis(vecs))
 
 
-def _lz_span(l: LogicalZonotope) -> _SpanForm:
-    return _SpanForm(l.n, l.c.words.copy(), _gf2_basis(l.G.data))
-
-
-def _empty_by_constraints(c: ConstrainedPolyLogicalZonotope) -> bool:
+def _empty_by_constraints(c: CPLZ) -> bool:
     """q == 0 leaves the fixed constraint 0 == b; unsatisfiable iff b has a set bit."""
     return c.q == 0 and c.m > 0 and bool(c.b.words.any())
 
 
-def _sweep_inputs(c: ConstrainedPolyLogicalZonotope):
+def _sweep_inputs(c: CPLZ):
     """Compact inert factor rows away and pack the masks the kernels expect."""
     eb = c.E.to_bool()
     rb = c.R.to_bool()
@@ -319,7 +305,7 @@ def _sweep_inputs(c: ConstrainedPolyLogicalZonotope):
     return p_active, emasks, gwords, cwords, rmasks, awords, bwords
 
 
-def _sweep(c: ConstrainedPolyLogicalZonotope, limit: int | None):
+def _sweep(c: CPLZ, limit: int | None):
     """Run the chunked assignment sweep; yields packed candidate blocks."""
     p_active, emasks, gwords, cwords, rmasks, awords, bwords = _sweep_inputs(c)
     total = 1 << p_active
@@ -339,7 +325,7 @@ def _sweep(c: ConstrainedPolyLogicalZonotope, limit: int | None):
             yield out[:cnt].copy()
 
 
-def _check_factor_budget(c, budget: EnumerationBudget) -> None:
+def _check_factor_budget(c: CPLZ, budget: EnumerationBudget) -> None:
     if c.p > budget.max_factors:
         raise BudgetExceeded(
             f"{c.p} factors exceed the enumeration cap of {budget.max_factors};"
@@ -347,19 +333,16 @@ def _check_factor_budget(c, budget: EnumerationBudget) -> None:
         )
 
 
-def enumerate_points(s, budget: EnumerationBudget | None = None) -> PointSet:
+def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointSet:
     """All points of a set, per the defining comprehension.
 
     For each factor assignment alpha in {0,1}^p satisfying the constraint
     system, emits c XOR the XOR of generator columns whose monomial is 1
     (convention alpha^0 == 1, alpha^1 == alpha), then deduplicates.
-    Logical zonotopes enumerate through their GF(2) span; everything else
+    Affine sets enumerate through their GF(2) span; everything else
     sweeps, subject to the factor budget.
     """
     budget = budget or DEFAULT_BUDGET
-    if isinstance(s, LogicalZonotope):
-        return _lz_span(s).materialize(budget.max_points)
-    c = as_cplz(s)
     if _empty_by_constraints(c):
         return PointSet.empty(c.n)
     span = _span_form(c)
@@ -381,13 +364,10 @@ def enumerate_points(s, budget: EnumerationBudget | None = None) -> PointSet:
     return pts
 
 
-def count_points(s, budget: EnumerationBudget | None = None) -> int:
+def count_points(c: CPLZ, budget: EnumerationBudget | None = None) -> int:
     """Cardinality of the point set; affine sets are counted by rank, without
     materializing."""
     budget = budget or DEFAULT_BUDGET
-    if isinstance(s, LogicalZonotope):
-        return _lz_span(s).count()
-    c = as_cplz(s)
     if _empty_by_constraints(c):
         return 0
     span = _span_form(c)
@@ -396,12 +376,9 @@ def count_points(s, budget: EnumerationBudget | None = None) -> int:
     return len(enumerate_points(c, budget))
 
 
-def witness_point(s, budget: EnumerationBudget | None = None) -> BitVector | None:
+def witness_point(c: CPLZ, budget: EnumerationBudget | None = None) -> BitVector | None:
     """Some member of the set, or None when it is empty."""
     budget = budget or DEFAULT_BUDGET
-    if isinstance(s, LogicalZonotope):
-        return BitVector(s.n, s.c.words.copy())
-    c = as_cplz(s)
     if _empty_by_constraints(c):
         return None
     span = _span_form(c)

@@ -176,10 +176,13 @@ def reach(
         result.sizes.append(None)
 
     if with_sizes:
-        for k in range(len(result.steps)):
-            joint = result.joint(k)
-            result.sizes[k] = _budgeted(count_points, joint, budget, f"step {k} joint state set")
+        result.sizes = [joint_size(result, k, budget) for k in range(len(result.steps))]
     return result
+
+
+def joint_size(result: ReachResult, k: int, budget: EnumerationBudget | None = None) -> int:
+    """Point count of the step-k joint state set; a budget failure names the step."""
+    return _budgeted(count_points, result.joint(k), budget, f"step {k} joint state set")
 
 
 def _budgeted(fn, s: CPLZ, budget: EnumerationBudget | None, what: str):

@@ -9,7 +9,9 @@ A set document looks like
 
 Matrices are serialized column-wise as bitstrings whose length equals the
 row count; absent fields default to empty. Index 0 of a bitstring is the
-leftmost character.
+leftmost character. Every kind loads as a constrained set: "plz" without
+constraints, and "lz" (only n, c and G are read) with identity exponents
+over fresh ids. The writer always emits "cplz".
 
 The shorthand {"points": ["bitstring", ...]} is always one exact
 unconstrained set (``points.encode_points``): K distinct points take
@@ -23,15 +25,7 @@ import json
 
 from .bitvec import BitMatrix, BitVector
 from .points import encode_points
-from .sets import (
-    ConstrainedPolyLogicalZonotope,
-    IdAllocator,
-    LogicalZonotope,
-    PolyLogicalZonotope,
-    as_cplz,
-)
-
-CPLZ = ConstrainedPolyLogicalZonotope
+from .sets import CPLZ, IdAllocator
 
 
 def _matrix_to_strings(m: BitMatrix) -> list[str]:
@@ -39,6 +33,8 @@ def _matrix_to_strings(m: BitMatrix) -> list[str]:
 
 
 def _matrix_from_strings(strings, rows: int, what: str) -> BitMatrix:
+    if not isinstance(strings, list):
+        raise ValueError(f"{what} must be a list of bitstrings")
     cols = []
     for s in strings:
         if len(s) != rows:
@@ -47,56 +43,19 @@ def _matrix_from_strings(strings, rows: int, what: str) -> BitMatrix:
     return BitMatrix.from_columns(cols, rows)
 
 
-def set_to_json(s) -> dict:
-    """Serialize any of the three representations to the exchange schema."""
-    if isinstance(s, LogicalZonotope):
-        return {"kind": "lz", "n": s.n, "c": s.c.to01(), "G": _matrix_to_strings(s.G)}
-    if isinstance(s, PolyLogicalZonotope):
-        return {
-            "kind": "plz",
-            "n": s.n,
-            "c": s.c.to01(),
-            "G": _matrix_to_strings(s.G),
-            "E": _matrix_to_strings(s.E),
-            "id": list(s.id),
-        }
-    if isinstance(s, ConstrainedPolyLogicalZonotope):
-        return {
-            "kind": "cplz",
-            "n": s.n,
-            "c": s.c.to01(),
-            "G": _matrix_to_strings(s.G),
-            "E": _matrix_to_strings(s.E),
-            "A": _matrix_to_strings(s.A),
-            "b": s.b.to01(),
-            "R": _matrix_to_strings(s.R),
-            "id": list(s.id),
-        }
-    raise TypeError(f"cannot serialize {type(s).__name__}")
-
-
-def set_from_json(doc: dict):
-    """Parse one exchange document into its declared representation."""
-    if "points" in doc:
-        raise ValueError("point-list shorthand needs fresh factor ids; load it with load_set")
-    kind = doc.get("kind")
-    if kind not in ("lz", "plz", "cplz"):
-        raise ValueError(f"unknown set kind {kind!r}")
-    n = int(doc["n"])
-    c = BitVector.from01(doc.get("c", "0" * n))
-    if c.n != n:
-        raise ValueError(f"center has length {c.n}, expected {n}")
-    G = _matrix_from_strings(doc.get("G", []), n, "G")
-    if kind == "lz":
-        return LogicalZonotope(c, G)
-    ids = [int(i) for i in doc.get("id", [])]
-    E = _matrix_from_strings(doc.get("E", []), len(ids), "E")
-    if kind == "plz":
-        return PolyLogicalZonotope(c, G, E, ids)
-    b = BitVector.from01(doc.get("b", ""))
-    A = _matrix_from_strings(doc.get("A", []), b.n, "A")
-    R = _matrix_from_strings(doc.get("R", []), len(ids), "R")
-    return ConstrainedPolyLogicalZonotope(c, G, E, A, b, R, ids)
+def set_to_json(s: CPLZ) -> dict:
+    """Serialize a set as a "cplz" exchange document."""
+    return {
+        "kind": "cplz",
+        "n": s.n,
+        "c": s.c.to01(),
+        "G": _matrix_to_strings(s.G),
+        "E": _matrix_to_strings(s.E),
+        "A": _matrix_to_strings(s.A),
+        "b": s.b.to01(),
+        "R": _matrix_to_strings(s.R),
+        "id": list(s.id),
+    }
 
 
 def set_from_points(strings: list[str], alloc: IdAllocator) -> CPLZ:
@@ -105,11 +64,31 @@ def set_from_points(strings: list[str], alloc: IdAllocator) -> CPLZ:
 
 
 def load_set(doc, alloc: IdAllocator) -> CPLZ:
-    """Load one binding value, an exchange document or the points shorthand,
-    as a constrained set."""
-    if isinstance(doc, dict) and "points" in doc:
+    """Parse one exchange document or points shorthand; "lz" takes fresh ids from alloc."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a set must be a JSON object, got {type(doc).__name__}")
+    if "points" in doc:
         return set_from_points(doc["points"], alloc)
-    return as_cplz(set_from_json(doc), alloc)
+    kind = doc.get("kind")
+    if kind not in ("lz", "plz", "cplz"):
+        raise ValueError(f"unknown set kind {kind!r}")
+    if "n" not in doc:
+        raise ValueError("a set document needs its dimension n")
+    n = int(doc["n"])
+    c = BitVector.from01(doc.get("c", "0" * n))
+    if c.n != n:
+        raise ValueError(f"center has length {c.n}, expected {n}")
+    G = _matrix_from_strings(doc.get("G", []), n, "G")
+    if kind == "lz":
+        return CPLZ.lz(c, G, alloc)
+    ids = [int(i) for i in doc.get("id", [])]
+    E = _matrix_from_strings(doc.get("E", []), len(ids), "E")
+    if kind == "plz":
+        return CPLZ.unconstrained(c, G, E, ids)
+    b = BitVector.from01(doc.get("b", ""))
+    A = _matrix_from_strings(doc.get("A", []), b.n, "A")
+    R = _matrix_from_strings(doc.get("R", []), len(ids), "R")
+    return CPLZ(c, G, E, A, b, R, ids)
 
 
 def load_bindings(doc: dict, alloc: IdAllocator) -> dict[str, CPLZ]:

@@ -1,12 +1,12 @@
-"""The three set representations and their generator-space operations.
+"""The constrained polynomial logical zonotope and its generator-space operations.
 
-A logical zonotope <c, G> collects every XOR combination of the center
-with a subset of generator columns. A polynomial logical zonotope
-<c, G, E, id> gates each generator by a monomial over shared binary
-factors (one factor per id, exponents in E). A constrained polynomial
-logical zonotope <c, G, E, A, b, R, id> further restricts the admissible
-factor vectors alpha to those with
-XOR_i (AND_k alpha_k^R[k,i]) A[:,i] == b.
+A constrained polynomial logical zonotope <c, G, E, A, b, R, id> collects
+c XOR the generator columns whose monomial over binary factors (one
+factor per id, exponents in E) is 1, for every factor vector alpha with
+XOR_i (AND_k alpha_k^R[k,i]) A[:,i] == b. It is the only set class. With
+no constraints it is a polynomial logical zonotope <c, G, E, id>; with
+identity exponents over fresh ids as well it is a logical zonotope
+<c, G>, the XOR-subset combinations of G added to c.
 
 Minkowski operations treat the operands as independent (fresh factor
 ids); exact operations align the operands onto a shared id vector first
@@ -65,73 +65,8 @@ def _check_distinct_ids(ids: Sequence[int]) -> tuple[int, ...]:
     return ids
 
 
-class LogicalZonotope:
-    """<c, G>: center plus XOR-subset combinations of the generator columns."""
-
-    __slots__ = ("c", "G")
-
-    def __init__(self, c: BitVector, G: BitMatrix):
-        if G.rows != c.n:
-            raise DimensionError(f"generator rows {G.rows} != center length {c.n}")
-        self.c = c
-        self.G = G
-
-    @property
-    def n(self) -> int:
-        return self.c.n
-
-    @property
-    def h(self) -> int:
-        return self.G.cols
-
-    @classmethod
-    def singleton(cls, point: BitVector) -> "LogicalZonotope":
-        return cls(point, BitMatrix.zeros(point.n, 0))
-
-    def __repr__(self) -> str:
-        return f"LogicalZonotope(n={self.n}, h={self.h})"
-
-
-class PolyLogicalZonotope:
-    """<c, G, E, id>: generators gated by monomials over shared binary factors."""
-
-    __slots__ = ("c", "G", "E", "id")
-
-    def __init__(self, c: BitVector, G: BitMatrix, E: BitMatrix, ids: Sequence[int]):
-        ids = _check_distinct_ids(ids)
-        if G.rows != c.n:
-            raise DimensionError(f"generator rows {G.rows} != center length {c.n}")
-        if E.cols != G.cols:
-            raise DimensionError(f"exponent columns {E.cols} != generator columns {G.cols}")
-        if E.rows != len(ids):
-            raise DimensionError(f"exponent rows {E.rows} != id count {len(ids)}")
-        self.c = c
-        self.G = G
-        self.E = E
-        self.id = ids
-
-    @property
-    def n(self) -> int:
-        return self.c.n
-
-    @property
-    def h(self) -> int:
-        return self.G.cols
-
-    @property
-    def p(self) -> int:
-        return len(self.id)
-
-    def __repr__(self) -> str:
-        return f"PolyLogicalZonotope(n={self.n}, h={self.h}, p={self.p})"
-
-
 class ConstrainedPolyLogicalZonotope:
-    """<c, G, E, A, b, R, id>: polynomial form plus binary constraints on the factors.
-
-    The zero-constraint case (no constraint rows or columns) is a plain
-    polynomial logical zonotope.
-    """
+    """<c, G, E, A, b, R, id>: polynomial form plus binary constraints on the factors."""
 
     __slots__ = ("c", "G", "E", "A", "b", "R", "id")
 
@@ -194,6 +129,11 @@ class ConstrainedPolyLogicalZonotope:
         return cls(c, G, E, BitMatrix.zeros(0, 0), BitVector.zeros(0), BitMatrix.zeros(p, 0), ids)
 
     @classmethod
+    def lz(cls, c: BitVector, G: BitMatrix, alloc: IdAllocator) -> "ConstrainedPolyLogicalZonotope":
+        """The logical zonotope <c, G>: one fresh factor per generator."""
+        return cls.unconstrained(c, G, BitMatrix.identity(G.cols), alloc.fresh(G.cols))
+
+    @classmethod
     def singleton(cls, point: BitVector) -> "ConstrainedPolyLogicalZonotope":
         return cls.unconstrained(point, BitMatrix.zeros(point.n, 0), BitMatrix.zeros(0, 0), [])
 
@@ -205,27 +145,6 @@ class ConstrainedPolyLogicalZonotope:
 
 
 CPLZ = ConstrainedPolyLogicalZonotope
-
-
-def promote(obj, alloc: IdAllocator | None = None):
-    """Lift one representation level: LZ -> PLZ (fresh ids, identity exponents),
-    PLZ -> CPLZ (empty constraints). A CPLZ passes through unchanged."""
-    if isinstance(obj, LogicalZonotope):
-        if alloc is None:
-            raise TypeError("promoting a logical zonotope needs an id allocator")
-        return PolyLogicalZonotope(obj.c, obj.G, BitMatrix.identity(obj.h), alloc.fresh(obj.h))
-    if isinstance(obj, PolyLogicalZonotope):
-        return ConstrainedPolyLogicalZonotope.unconstrained(obj.c, obj.G, obj.E, obj.id)
-    if isinstance(obj, ConstrainedPolyLogicalZonotope):
-        return obj
-    raise TypeError(f"cannot promote {type(obj).__name__}")
-
-
-def as_cplz(obj, alloc: IdAllocator | None = None) -> CPLZ:
-    """Promote as far as needed to reach the constrained polynomial form."""
-    while not isinstance(obj, ConstrainedPolyLogicalZonotope):
-        obj = promote(obj, alloc)
-    return obj
 
 
 def merge_id(c1: CPLZ, c2: CPLZ) -> tuple[CPLZ, CPLZ]:
@@ -441,20 +360,15 @@ def intersect(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
     )
 
 
-def intersect_overapprox_lz(l1: LogicalZonotope, l2: LogicalZonotope) -> LogicalZonotope:
-    """Overapproximate the intersection of two logical zonotopes by their AND.
+def intersect_overapprox_lz(l1: CPLZ, l2: CPLZ, alloc: IdAllocator) -> CPLZ:
+    """Overapproximate an intersection by the AND of the operands' LZ hulls.
 
-    Sound superset: every common point z satisfies z == z AND z with one
-    expansion from each operand.
+    Reads only c and G: every point of a set lies in its hull <c, G>, and
+    every common point z satisfies z == z AND z with one expansion from
+    each hull, so the result is a sound superset for any operands.
     """
-    if l1.n != l2.n:
-        raise DimensionError(f"set dimensions differ: {l1.n} != {l2.n}")
-    generators = hconcat(
-        _scale(l1.c, l2.G),
-        _scale(l2.c, l1.G),
-        _pairwise_and(l1.G, l2.G),
-    )
-    return LogicalZonotope(elementwise_gate(Gate.AND, l1.c, l2.c), generators)
+    _require_same_dim(l1, l2)
+    return CPLZ.lz(elementwise_gate(Gate.AND, l1.c, l2.c), _and_generators(l1, l2), alloc)
 
 
 def canonicalize(c: CPLZ) -> CPLZ:
@@ -531,10 +445,7 @@ def lz_flatten(c: CPLZ, alloc: IdAllocator) -> CPLZ:
     d = canonicalize(c)
     payloads = np.unique(d.G.to_bool().T, axis=0)
     payloads = payloads[payloads.any(axis=1)]
-    generators = BitMatrix.from_bool(payloads.T)
-    return ConstrainedPolyLogicalZonotope.unconstrained(
-        d.c, generators, BitMatrix.identity(generators.cols), alloc.fresh(generators.cols)
-    )
+    return CPLZ.lz(d.c, BitMatrix.from_bool(payloads.T), alloc)
 
 
 def refresh_ids(c: CPLZ, alloc: IdAllocator) -> CPLZ:

@@ -24,8 +24,6 @@ from logiczono.reach import ReachProblem, SafetySpec, check_unsafe, exhaustive_r
 from logiczono.sets import (
     ConstrainedPolyLogicalZonotope as CPLZ,
     IdAllocator,
-    LogicalZonotope,
-    as_cplz,
     derived_gate,
     exact_and,
     exact_xor,
@@ -34,7 +32,6 @@ from logiczono.sets import (
     mink_and,
     mink_xor,
     negate,
-    promote,
 )
 from logiczono.setio import load_bindings, read_json
 from conftest import random_cplz, random_network_setup
@@ -134,19 +131,19 @@ def test_criterion_4_overapproximation_containment_and_ordering():
     for dim, count in plan:
         gens = dim - 1
         for _ in range(count):
-            l1 = LogicalZonotope(
+            l1 = CPLZ.lz(
                 BitVector.from_bits(rng.integers(0, 2, size=dim)),
                 BitMatrix.from_bool(rng.integers(0, 2, size=(dim, gens)).astype(bool)),
+                alloc,
             )
-            l2 = LogicalZonotope(
+            l2 = CPLZ.lz(
                 BitVector.from_bits(rng.integers(0, 2, size=dim)),
                 BitMatrix.from_bool(rng.integers(0, 2, size=(dim, gens)).astype(bool)),
+                alloc,
             )
-            p1 = as_cplz(promote(l1, alloc))
-            p2 = as_cplz(promote(l2, alloc))
-            over_lz = enumerate_points(intersect_overapprox_lz(l1, l2))
-            over_plz = enumerate_points(mink_and(p1, p2, alloc))
-            exact = enumerate_points(intersect(p1, p2, alloc))
+            over_lz = enumerate_points(intersect_overapprox_lz(l1, l2, alloc))
+            over_plz = enumerate_points(mink_and(l1, l2, alloc))
+            exact = enumerate_points(intersect(l1, l2, alloc))
             assert exact.issubset(over_lz)
             assert exact.issubset(over_plz)
             assert over_plz.issubset(over_lz)

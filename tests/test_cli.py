@@ -147,8 +147,16 @@ def test_reach_budget_names_the_step(tmp_path, capsys):
         "reach", "--net", str(DATA / "circuit3x10.bn"), "--steps", "6", "--enumerate",
         "--init", write(tmp_path / "i.json", init), "--inputs", write(tmp_path / "u.json", inputs),
     ])
+    out, err = capsys.readouterr()
     assert code == 3
-    assert "step 6 joint state set" in capsys.readouterr().err
+    assert "step 6 joint state set" in err
+    # rows counted before the failing step are still printed
+    lines = out.splitlines()
+    assert lines[0].split() == ["step", "time_ms", "size"]
+    rows = [line.split() for line in lines[1:]]
+    assert [(int(r[0]), int(r[2])) for r in rows] == list(
+        zip(range(1, 6), [128, 540, 1295, 2325, 3165])
+    )
 
 
 def test_enumerate_singleton(tmp_path, capsys):
@@ -160,6 +168,29 @@ def test_enumerate_singleton(tmp_path, capsys):
 def test_enumerate_two_generators(tmp_path, capsys):
     doc = {"kind": "cplz", "n": 2, "c": "00", "G": ["10", "01"], "E": ["10", "01"], "id": [1, 2]}
     p = write(tmp_path / "g2.json", doc)
+    assert main(["enumerate", "--set", p]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)) == ["00", "01", "10", "11"]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (["0", "1"], "JSON object"),
+        ({"kind": "lz", "c": "01"}, "dimension n"),
+        ({"kind": "lz", "n": 2, "G": 5}, "list of bitstrings"),
+    ],
+)
+def test_enumerate_malformed_set_is_a_usage_error(tmp_path, capsys, doc, message):
+    p = write(tmp_path / "bad.json", doc)
+    assert main(["enumerate", "--set", p]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_enumerate_lz_document_past_the_factor_cap(tmp_path, capsys):
+    # an "lz" document takes one fresh factor per generator; its points come
+    # from the GF(2) span, so 30 generators pass a 24-factor budget
+    doc = {"kind": "lz", "n": 2, "c": "00", "G": ["10", "01"] * 15}
+    p = write(tmp_path / "lz30.json", doc)
     assert main(["enumerate", "--set", p]) == 0
     assert sorted(json.loads(capsys.readouterr().out)) == ["00", "01", "10", "11"]
 

