@@ -159,10 +159,34 @@ def complement(a: BitVector) -> BitVector:
     return BitVector(a.n, ~a.words & pad_mask(a.n))
 
 
+def _shift_rows(words: np.ndarray, offset: int, nbits: int) -> np.ndarray:
+    """Packed rows moved up by ``offset`` bit positions into zeroed rows of nbits bits."""
+    out = np.zeros((words.shape[0], n_words(nbits)), dtype=np.uint64)
+    w, s = divmod(offset, WORD_BITS)
+    k = words.shape[1]
+    out[:, w : w + k] = words << np.uint64(s)
+    if s:  # the bits shifted out of each word carry into the next one, if it exists
+        carry = min(k, out.shape[1] - w - 1)
+        out[:, w + 1 : w + 1 + carry] |= words[:, :carry] >> np.uint64(WORD_BITS - s)
+    return out
+
+
+def _move_rows(words: np.ndarray, src: Sequence[int], dst: Sequence[int], nbits: int) -> np.ndarray:
+    """Zeroed packed rows of nbits bits that take bit src[k] of each row at bit dst[k]."""
+    src = np.asarray(src, dtype=np.intp)
+    dst = np.asarray(dst, dtype=np.intp)
+    bits = (words[:, src // WORD_BITS] >> (src % WORD_BITS).astype(np.uint64)) & np.uint64(1)
+    place = np.zeros((dst.size, n_words(nbits)), dtype=np.uint64)
+    shifts = (dst % WORD_BITS).astype(np.uint64)
+    place[np.arange(dst.size), dst // WORD_BITS] = np.uint64(1) << shifts
+    return bits @ place  # dst holds distinct positions, so the sum of the placed bits is their OR
+
+
 def concat(a: BitVector, b: BitVector) -> BitVector:
     """Concatenate two vectors: result index i < a.n maps to a[i], the rest to b."""
-    bits = np.concatenate([a.bits(), b.bits()])
-    return BitVector(bits.size, pack_bool_rows(bits[None, :])[0])
+    n = a.n + b.n
+    words = _shift_rows(a.words[None, :], 0, n) | _shift_rows(b.words[None, :], a.n, n)
+    return BitVector(n, words[0])
 
 
 class BitMatrix:
@@ -253,23 +277,28 @@ def vstack(top: BitMatrix, bottom: BitMatrix) -> BitMatrix:
     """Stack matrices vertically (same column count)."""
     if top.cols != bottom.cols:
         raise DimensionError(f"column count mismatch: {top.cols} != {bottom.cols}")
-    out = np.concatenate([top.to_bool(), bottom.to_bool()], axis=0)
-    return BitMatrix.from_bool(out)
+    rows = top.rows + bottom.rows
+    data = _shift_rows(top.data, 0, rows) | _shift_rows(bottom.data, top.rows, rows)
+    return BitMatrix(rows, data)
 
 
 def blkdiag(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Block-diagonal composition [[a, 0], [0, b]]."""
-    out = np.zeros((a.rows + b.rows, a.cols + b.cols), dtype=bool)
-    out[: a.rows, : a.cols] = a.to_bool()
-    out[a.rows :, a.cols :] = b.to_bool()
-    return BitMatrix.from_bool(out)
+    rows = a.rows + b.rows
+    data = np.concatenate([_shift_rows(a.data, 0, rows), _shift_rows(b.data, a.rows, rows)])
+    return BitMatrix(rows, data)
 
 
 def embed_rows(m: BitMatrix, positions: Sequence[int], new_rows: int) -> BitMatrix:
     """Spread m's rows into a taller matrix: row k lands at positions[k], the rest are zero."""
     if len(positions) != m.rows:
         raise DimensionError(f"need {m.rows} positions, got {len(positions)}")
-    out = np.zeros((new_rows, m.cols), dtype=bool)
-    if m.rows:
-        out[list(positions), :] = m.to_bool()
-    return BitMatrix.from_bool(out)
+    first = positions[0] if m.rows else 0
+    if list(positions) == list(range(first, first + m.rows)):  # one block of rows: a shift
+        return BitMatrix(new_rows, _shift_rows(m.data, first, new_rows))
+    return BitMatrix(new_rows, _move_rows(m.data, range(m.rows), positions, new_rows))
+
+
+def select_rows(m: BitMatrix, rows: Sequence[int]) -> BitMatrix:
+    """The matrix of m's rows at the given indices, in that order."""
+    return BitMatrix(len(rows), _move_rows(m.data, rows, range(len(rows)), len(rows)))

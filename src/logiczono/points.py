@@ -18,9 +18,9 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .bitvec import BitMatrix, BitVector, Gate, n_words, pack_bool_rows, pad_mask
+from .bitvec import BitMatrix, BitVector, Gate, n_words, pad_mask
 from .errors import BudgetExceeded, DimensionError
-from .sets import CPLZ, IdAllocator
+from .sets import CPLZ, IdAllocator, canonicalize, drop_inert_ids
 
 DEFAULT_MAX_FACTORS = 24
 DEFAULT_MAX_POINTS = 2_000_000
@@ -248,32 +248,20 @@ class _SpanForm:
 def _span_form(c: CPLZ) -> _SpanForm | None:
     """Detect sets whose monomials all have degree <= 1 (no effective constraints).
 
-    Columns sharing a factor aggregate by XOR; degree-0 columns fold into
-    the offset. Returns None when a sweep is required, or when the empty
-    constraint system is unsatisfiable (caller checks that first).
+    After canonicalize, the columns gated by one factor have merged into
+    one and the degree-0 columns have folded into the center, so the
+    offset is the center and the payloads span the rest. Returns None
+    when a sweep is required, or when the empty constraint system is
+    unsatisfiable (caller checks that first).
     """
     if c.q > 0 and c.m > 0:
         return None
-    eb = c.E.to_bool()
-    if c.h and eb.sum(axis=0).max(initial=0) > 1:
+    words = c.E.data
+    one_bit_words = (words & (words - np.uint64(1))) == 0  # zero or a power of two
+    if not (one_bit_words.all() and ((words != 0).sum(axis=1) <= 1).all()):
         return None
-    gb = c.G.to_bool()
-    offset_bits = c.c.bits().copy()
-    per_factor = []
-    if c.h:
-        degree = eb.sum(axis=0)
-        const = degree == 0
-        if const.any():
-            offset_bits ^= (gb[:, const].sum(axis=1) % 2).astype(bool)
-        for k in range(c.p):
-            gated = eb[k]
-            if gated.any():
-                agg = (gb[:, gated].sum(axis=1) % 2).astype(bool)
-                if agg.any():
-                    per_factor.append(agg)
-    offset = pack_bool_rows(offset_bits[None, :])[0]
-    vecs = pack_bool_rows(np.array(per_factor, dtype=bool).reshape(len(per_factor), c.n))
-    return _SpanForm(c.n, offset, _gf2_basis(vecs))
+    d = canonicalize(c)
+    return _SpanForm(c.n, d.c.words, _gf2_basis(d.G.data))
 
 
 def _empty_by_constraints(c: CPLZ) -> bool:
@@ -282,27 +270,19 @@ def _empty_by_constraints(c: CPLZ) -> bool:
 
 
 def _sweep_inputs(c: CPLZ):
-    """Compact inert factor rows away and pack the masks the kernels expect."""
-    eb = c.E.to_bool()
-    rb = c.R.to_bool()
-    active = eb.any(axis=1) | rb.any(axis=1)
-    ea = eb[active]
-    ra = rb[active]
-    p_active = int(active.sum())
-    shifts = np.arange(p_active, dtype=np.uint64)
+    """Compact inert factor rows away and take the masks the kernels expect.
 
-    def masks(cols: np.ndarray) -> np.ndarray:
-        if cols.shape[1] == 0:
-            return np.zeros(0, dtype=np.uint64)
-        return (cols.astype(np.uint64).T << shifts).sum(axis=1, dtype=np.uint64)
-
-    emasks = masks(ea)
-    rmasks = masks(ra)
-    gwords = np.ascontiguousarray(c.G.data)
-    awords = np.ascontiguousarray(c.A.data)
-    cwords = np.ascontiguousarray(c.c.words)
-    bwords = np.ascontiguousarray(c.b.words)
-    return p_active, emasks, gwords, cwords, rmasks, awords, bwords
+    Within the factor budget (at most 63 factors) each packed column of E
+    and R is one word, which is the column's factor mask.
+    """
+    d = drop_inert_ids(c)
+    emasks = np.bitwise_or.reduce(d.E.data, axis=1)  # the one word, or 0 when no factor is left
+    rmasks = np.bitwise_or.reduce(d.R.data, axis=1)
+    gwords = np.ascontiguousarray(d.G.data)
+    awords = np.ascontiguousarray(d.A.data)
+    cwords = np.ascontiguousarray(d.c.words)
+    bwords = np.ascontiguousarray(d.b.words)
+    return d.p, emasks, gwords, cwords, rmasks, awords, bwords
 
 
 def _sweep(c: CPLZ, limit: int | None):

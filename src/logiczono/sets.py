@@ -8,9 +8,11 @@ no constraints it is a polynomial logical zonotope <c, G, E, id>; with
 identity exponents over fresh ids as well it is a logical zonotope
 <c, G>, the XOR-subset combinations of G added to c.
 
-Minkowski operations treat the operands as independent (fresh factor
-ids); exact operations align the operands onto a shared id vector first
-so repeated occurrences of one set stay correlated. All values are
+There is one gate construction. Exact operations align the operands
+onto a shared id vector first, so repeated occurrences of one set stay
+correlated; a Minkowski operation, which pairs the points of independent
+operands, is the exact one on copies with fresh ids. Every operation and
+normalizer works on the packed words of ``bitvec``. All values are
 immutable; operations are pure. Only IdAllocator mutates, under a lock.
 """
 
@@ -31,13 +33,14 @@ from .bitvec import (
     elementwise_gate,
     embed_rows,
     hconcat,
+    select_rows,
+    unpack_rows,
     vstack,
 )
 from .errors import DimensionError
 
 MINKOWSKI = "minkowski"
 EXACT = "exact"
-DERIVED_GATES = (Gate.XNOR, Gate.NAND, Gate.OR, Gate.NOR)
 
 
 class IdAllocator:
@@ -184,62 +187,30 @@ def _scale(v: BitVector, m: BitMatrix) -> BitMatrix:
     return BitMatrix(m.rows, m.data & v.words[None, :])
 
 
-def _pairwise_and(g1: BitMatrix, g2: BitMatrix) -> BitMatrix:
-    """All columnwise products g1[:,i] AND g2[:,j], i-major order."""
-    if g1.rows != g2.rows:
-        raise DimensionError(f"row count mismatch: {g1.rows} != {g2.rows}")
-    prod = g1.data[:, None, :] & g2.data[None, :, :]
-    return BitMatrix(g1.rows, prod.reshape(g1.cols * g2.cols, g1.data.shape[1]))
-
-
-def mink_xor(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
-    """Minkowski XOR: every pair x1 in c1, x2 in c2 contributes x1 XOR x2."""
-    _require_same_dim(c1, c2)
-    return ConstrainedPolyLogicalZonotope(
-        elementwise_gate(Gate.XOR, c1.c, c2.c),
-        hconcat(c1.G, c2.G),
-        blkdiag(c1.E, c2.E),
-        blkdiag(c1.A, c2.A),
-        concat(c1.b, c2.b),
-        blkdiag(c1.R, c2.R),
-        alloc.fresh(c1.p + c2.p),
-    )
+def _pairwise(op, m1: BitMatrix, m2: BitMatrix) -> BitMatrix:
+    """All columnwise op(m1[:,i], m2[:,j]), i-major order."""
+    if m1.rows != m2.rows:
+        raise DimensionError(f"row count mismatch: {m1.rows} != {m2.rows}")
+    prod = op(m1.data[:, None, :], m2.data[None, :, :])
+    return BitMatrix(m1.rows, prod.reshape(m1.cols * m2.cols, m1.data.shape[1]))
 
 
 def _and_generators(x1: CPLZ, x2: CPLZ) -> BitMatrix:
     return hconcat(
         _scale(x1.c, x2.G),
         _scale(x2.c, x1.G),
-        _pairwise_and(x1.G, x2.G),
+        _pairwise(np.bitwise_and, x1.G, x2.G),
     )
+
+
+def mink_xor(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
+    """Minkowski XOR: every pair x1 in c1, x2 in c2 contributes x1 XOR x2."""
+    return exact_xor(refresh_ids(c1, alloc), refresh_ids(c2, alloc))
 
 
 def mink_and(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
-    """Minkowski AND: every pair x1, x2 contributes x1 AND x2.
-
-    Generators: [c1*G2 | c2*G1 | all pairwise products]; exponent columns
-    are zero-padded single-operand columns and the stacked pair columns.
-    """
-    _require_same_dim(c1, c2)
-    p1, p2, h1, h2 = c1.p, c2.p, c1.h, c2.h
-    e1, e2 = c1.E.to_bool(), c2.E.to_bool()
-    block_c1g2 = np.concatenate([np.zeros((p1, h2), dtype=bool), e2], axis=0)
-    block_c2g1 = np.concatenate([e1, np.zeros((p2, h1), dtype=bool)], axis=0)
-    block_pairs = np.concatenate(
-        [np.repeat(e1, h2, axis=1), np.tile(e2, (1, h1))], axis=0
-    )
-    exponents = BitMatrix.from_bool(
-        np.concatenate([block_c1g2, block_c2g1, block_pairs], axis=1)
-    )
-    return ConstrainedPolyLogicalZonotope(
-        elementwise_gate(Gate.AND, c1.c, c2.c),
-        _and_generators(c1, c2),
-        exponents,
-        blkdiag(c1.A, c2.A),
-        concat(c1.b, c2.b),
-        blkdiag(c1.R, c2.R),
-        alloc.fresh(p1 + p2),
-    )
+    """Minkowski AND: every pair x1 in c1, x2 in c2 contributes x1 AND x2."""
+    return exact_and(refresh_ids(c1, alloc), refresh_ids(c2, alloc))
 
 
 def negate(c: CPLZ) -> CPLZ:
@@ -265,20 +236,17 @@ def exact_xor(c1: CPLZ, c2: CPLZ) -> CPLZ:
 def exact_and(c1: CPLZ, c2: CPLZ) -> CPLZ:
     """Dependency-preserving AND.
 
-    Pair columns use the elementwise max of the operand exponent columns,
-    since alpha^a AND alpha^b == alpha^max(a,b) for binary exponents. Both
-    operands' constraints are carried over the merged id rows.
+    Generators: [c1*G2 | c2*G1 | all pairwise products]. Pair columns use
+    the OR of the operand exponent columns, since alpha^a AND alpha^b ==
+    alpha^(a OR b) for binary exponents. Both operands' constraints are
+    carried over the merged id rows.
     """
     _require_same_dim(c1, c2)
     a1, a2 = merge_id(c1, c2)
-    h1, h2 = a1.h, a2.h
-    e1, e2 = a1.E.to_bool(), a2.E.to_bool()
-    pair_cols = np.repeat(e1, h2, axis=1) | np.tile(e2, (1, h1))
-    exponents = BitMatrix.from_bool(np.concatenate([e2, e1, pair_cols], axis=1))
     return ConstrainedPolyLogicalZonotope(
         elementwise_gate(Gate.AND, a1.c, a2.c),
         _and_generators(a1, a2),
-        exponents,
+        hconcat(a2.E, a1.E, _pairwise(np.bitwise_or, a1.E, a2.E)),
         blkdiag(a1.A, a2.A),
         concat(a1.b, a2.b),
         hconcat(a1.R, a2.R),
@@ -286,38 +254,34 @@ def exact_and(c1: CPLZ, c2: CPLZ) -> CPLZ:
     )
 
 
-def derived_gate(gate: Gate, c1: CPLZ, c2: CPLZ, alloc: IdAllocator, mode: str = MINKOWSKI) -> CPLZ:
-    """XNOR, NAND, OR, NOR built from XOR/AND/NOT; NAND is the universal gate.
-
-    ``mode`` picks the underlying XOR/AND flavor: independent pairing
-    (minkowski) or shared-factor (exact).
-    """
-    if mode not in (MINKOWSKI, EXACT):
-        raise ValueError(f"mode must be '{MINKOWSKI}' or '{EXACT}', got {mode!r}")
-    if mode == EXACT:
-        xor_op = exact_xor
-        and_op = exact_and
-    else:
-        xor_op = lambda a, b: mink_xor(a, b, alloc)
-        and_op = lambda a, b: mink_and(a, b, alloc)
-    if gate is Gate.XNOR:
-        return negate(xor_op(c1, c2))
-    if gate is Gate.NAND:
-        return negate(and_op(c1, c2))
-    if gate is Gate.OR:
-        return negate(and_op(negate(c1), negate(c2)))
-    if gate is Gate.NOR:
-        return negate(derived_gate(Gate.OR, c1, c2, alloc, mode))
-    raise ValueError(f"{gate} is not a derived gate; use mink_xor/mink_and/exact_xor/exact_and")
+# The six binary gates over exact XOR, exact AND and NOT; NAND is the universal gate.
+_GATES = {
+    Gate.XOR: exact_xor,
+    Gate.AND: exact_and,
+    Gate.XNOR: lambda c1, c2: negate(exact_xor(c1, c2)),
+    Gate.NAND: lambda c1, c2: negate(exact_and(c1, c2)),
+    Gate.OR: lambda c1, c2: negate(exact_and(negate(c1), negate(c2))),
+    Gate.NOR: lambda c1, c2: exact_and(negate(c1), negate(c2)),
+}
 
 
 def apply_gate(gate: Gate, c1: CPLZ, c2: CPLZ, alloc: IdAllocator, mode: str = MINKOWSKI) -> CPLZ:
-    """Route any of the six binary gates to its generator-space construction."""
-    if gate is Gate.XOR:
-        return exact_xor(c1, c2) if mode == EXACT else mink_xor(c1, c2, alloc)
-    if gate is Gate.AND:
-        return exact_and(c1, c2) if mode == EXACT else mink_and(c1, c2, alloc)
-    return derived_gate(gate, c1, c2, alloc, mode)
+    """Any of the six binary gates.
+
+    ``mode`` exact keeps the operands' shared factors; minkowski pairs
+    independent points, by running the same construction on copies with
+    fresh ids.
+    """
+    if mode not in (MINKOWSKI, EXACT):
+        raise ValueError(f"mode must be '{MINKOWSKI}' or '{EXACT}', got {mode!r}")
+    if mode == MINKOWSKI:
+        c1, c2 = refresh_ids(c1, alloc), refresh_ids(c2, alloc)
+    return _GATES[gate](c1, c2)
+
+
+def derived_gate(gate: Gate, c1: CPLZ, c2: CPLZ, alloc: IdAllocator, mode: str = MINKOWSKI) -> CPLZ:
+    """XNOR, NAND, OR, NOR built from XOR/AND/NOT: the same as ``apply_gate``."""
+    return apply_gate(gate, c1, c2, alloc, mode)
 
 
 def intersect(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
@@ -329,34 +293,14 @@ def intersect(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
     top of both operands' own constraints.
     """
     _require_same_dim(c1, c2)
-    n = c1.n
-    p1, p2, h1, h2, m1, m2, q1, q2 = c1.p, c2.p, c1.h, c2.h, c1.m, c2.m, c1.q, c2.q
-
-    exponents = vstack(c1.E, BitMatrix.zeros(p2, h1))
-
-    a_rows = m1 + m2 + n
-    a_cols = q1 + q2 + h1 + h2
-    ab = np.zeros((a_rows, a_cols), dtype=bool)
-    ab[:m1, :q1] = c1.A.to_bool()
-    ab[m1 : m1 + m2, q1 : q1 + q2] = c2.A.to_bool()
-    ab[m1 + m2 :, q1 + q2 : q1 + q2 + h1] = c1.G.to_bool()
-    ab[m1 + m2 :, q1 + q2 + h1 :] = c2.G.to_bool()
-
-    rb = np.zeros((p1 + p2, a_cols), dtype=bool)
-    rb[:p1, :q1] = c1.R.to_bool()
-    rb[p1:, q1 : q1 + q2] = c2.R.to_bool()
-    rb[:p1, q1 + q2 : q1 + q2 + h1] = c1.E.to_bool()
-    rb[p1:, q1 + q2 + h1 :] = c2.E.to_bool()
-
-    b_new = concat(concat(c1.b, c2.b), elementwise_gate(Gate.XOR, c1.c, c2.c))
     return ConstrainedPolyLogicalZonotope(
         c1.c,
         c1.G,
-        exponents,
-        BitMatrix.from_bool(ab),
-        b_new,
-        BitMatrix.from_bool(rb),
-        alloc.fresh(p1 + p2),
+        vstack(c1.E, BitMatrix.zeros(c2.p, c1.h)),
+        blkdiag(blkdiag(c1.A, c2.A), hconcat(c1.G, c2.G)),
+        concat(concat(c1.b, c2.b), elementwise_gate(Gate.XOR, c1.c, c2.c)),
+        hconcat(blkdiag(c1.R, c2.R), blkdiag(c1.E, c2.E)),
+        alloc.fresh(c1.p + c2.p),
     )
 
 
@@ -372,40 +316,32 @@ def intersect_overapprox_lz(l1: CPLZ, l2: CPLZ, alloc: IdAllocator) -> CPLZ:
 
 
 def canonicalize(c: CPLZ) -> CPLZ:
-    """Normalize the generator part without changing the point set.
+    """Merge the columns that gate the same monomial, without changing the point set.
 
-    Constant columns (all-zero exponent column, monomial == 1) fold into
-    the center; duplicate (generator, exponent) column pairs cancel
-    (x XOR x == 0, kept count is mod 2); all-zero generator columns drop.
-    Constraints and ids are untouched; never applied implicitly.
+    Columns with equal exponent columns are active for the same factor
+    assignments, so their payloads XOR into one column (the ``compact``
+    step of sparse polynomial zonotopes, Kochdumper & Althoff 2021). The
+    all-zero exponent column is the constant monomial 1 and folds into the
+    center; zero payloads drop. The result has pairwise-distinct nonzero
+    exponent columns, ordered by their packed words, so a second call
+    returns it unchanged. Constraints and ids are untouched; never applied
+    implicitly.
     """
-    gb = c.G.to_bool()
-    eb = c.E.to_bool()
-    center_bits = c.c.bits()
-
-    const_cols = ~eb.any(axis=0) if c.p else np.ones(c.h, dtype=bool)
-    if const_cols.any():
-        fold = gb[:, const_cols].sum(axis=1) % 2
-        center_bits = center_bits ^ fold.astype(bool)
-        gb = gb[:, ~const_cols]
-        eb = eb[:, ~const_cols]
-
-    if gb.shape[1]:
-        keys = np.concatenate([gb, eb], axis=0).T
-        uniq, counts = np.unique(keys, axis=0, return_counts=True)
-        keep = uniq[counts % 2 == 1]
-        nonzero = keep[:, : c.n].any(axis=1)
-        keep = keep[nonzero]
-        gb = keep[:, : c.n].T
-        eb = keep[:, c.n :].T
-    else:
-        gb = np.zeros((c.n, 0), dtype=bool)
-        eb = np.zeros((c.p, 0), dtype=bool)
-
+    if c.h == 0:
+        return c
+    words = c.E.data
+    # lexsort is stable: columns with one key keep their order
+    order = np.lexsort(words.T) if words.shape[1] else np.arange(c.h)
+    keys = words[order]
+    first = np.flatnonzero(np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)]))
+    payloads = np.bitwise_xor.reduceat(c.G.data[order], first, axis=0)
+    keys = keys[first]
+    const = ~keys.any(axis=1)
+    keep = ~const & payloads.any(axis=1)
     return ConstrainedPolyLogicalZonotope(
-        BitVector.from_bits(center_bits),
-        BitMatrix.from_bool(gb),
-        BitMatrix.from_bool(eb),
+        BitVector(c.n, c.c.words ^ np.bitwise_xor.reduce(payloads[const], axis=0)),
+        BitMatrix(c.n, payloads[keep]),
+        BitMatrix(c.p, keys[keep]),
         c.A,
         c.b,
         c.R,
@@ -443,9 +379,7 @@ def lz_flatten(c: CPLZ, alloc: IdAllocator) -> CPLZ:
     if c.m or c.q:
         raise ValueError("cannot flatten a constrained set to logical-zonotope form")
     d = canonicalize(c)
-    payloads = np.unique(d.G.to_bool().T, axis=0)
-    payloads = payloads[payloads.any(axis=1)]
-    return CPLZ.lz(d.c, BitMatrix.from_bool(payloads.T), alloc)
+    return CPLZ.lz(d.c, BitMatrix(d.n, np.unique(d.G.data, axis=0)), alloc)
 
 
 def refresh_ids(c: CPLZ, alloc: IdAllocator) -> CPLZ:
@@ -459,12 +393,10 @@ def drop_inert_ids(c: CPLZ) -> CPLZ:
     Such a factor gates nothing and constrains nothing, so the point set
     is unchanged; keeping the rows only inflates enumeration budgets.
     """
-    eb = c.E.to_bool()
-    rb = c.R.to_bool()
-    live = eb.any(axis=1) | rb.any(axis=1)
-    if bool(live.all()):
+    used = np.bitwise_or.reduce(np.concatenate([c.E.data, c.R.data]), axis=0)
+    live = np.flatnonzero(unpack_rows(used[None, :], c.p)[0])
+    if live.size == c.p:
         return c
-    ids = [ident for ident, keep in zip(c.id, live) if keep]
     return ConstrainedPolyLogicalZonotope(
-        c.c, c.G, BitMatrix.from_bool(eb[live]), c.A, c.b, BitMatrix.from_bool(rb[live]), ids
+        c.c, c.G, select_rows(c.E, live), c.A, c.b, select_rows(c.R, live), [c.id[k] for k in live]
     )

@@ -39,6 +39,11 @@ def naive_enumerate(z) -> set[str]:
     return points
 
 
+def same_set(a, b) -> bool:
+    """Bit-identical fields, ids included."""
+    return (a.c, a.G, a.E, a.A, a.b, a.R, tuple(a.id)) == (b.c, b.G, b.E, b.A, b.b, b.R, tuple(b.id))
+
+
 def naive_gate(op: str, xs: set[str], ys: set[str]) -> set[str]:
     """Pairwise gate on bit-string sets, straight truth tables."""
     tables = {

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logiczono.bitvec import (
     BitMatrix,
@@ -12,6 +13,7 @@ from logiczono.bitvec import (
     embed_rows,
     hconcat,
     pack_bool_rows,
+    select_rows,
     unpack_rows,
     vstack,
 )
@@ -158,6 +160,37 @@ def test_embed_rows():
     m = BitMatrix.from_bool(np.array([[1, 0], [1, 1]], dtype=bool))
     out = embed_rows(m, [2, 0], 3)
     assert np.array_equal(out.to_bool(), np.array([[1, 1], [0, 0], [1, 0]], dtype=bool))
+
+
+# row counts on both sides of the word boundaries
+ROW_COUNTS = st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]), st.integers(0, 130))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r1=ROW_COUNTS, r2=ROW_COUNTS, c1=st.integers(0, 4), c2=st.integers(0, 4))
+def test_packed_compositions_match_bool_reference(seed, r1, r2, c1, c2):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, size=(r1, c1)).astype(bool)
+    b = rng.integers(0, 2, size=(r2, c2)).astype(bool)
+    under = rng.integers(0, 2, size=(r2, c1)).astype(bool)
+    ma, mb = BitMatrix.from_bool(a), BitMatrix.from_bool(b)
+
+    diag = np.zeros((r1 + r2, c1 + c2), dtype=bool)
+    diag[:r1, :c1] = a
+    diag[r1:, c1:] = b
+    assert blkdiag(ma, mb) == BitMatrix.from_bool(diag)
+    assert vstack(ma, BitMatrix.from_bool(under)) == BitMatrix.from_bool(np.concatenate([a, under]))
+
+    x, y = rng.integers(0, 2, size=r1), rng.integers(0, 2, size=r2)
+    assert concat(BitVector.from_bits(x), BitVector.from_bits(y)) == BitVector.from_bits(np.concatenate([x, y]))
+
+    # scattered rows, and one block of rows at an offset
+    for positions in (rng.permutation(r1 + r2)[:r1], np.arange(r1) + int(rng.integers(0, r2 + 1))):
+        positions = [int(k) for k in positions]
+        spread = np.zeros((r1 + r2, c1), dtype=bool)
+        spread[positions] = a
+        assert embed_rows(ma, positions, r1 + r2) == BitMatrix.from_bool(spread)
+        assert select_rows(BitMatrix.from_bool(spread), positions) == ma
 
 
 def test_identity():

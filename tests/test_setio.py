@@ -12,11 +12,7 @@ from logiczono.setio import (
     set_from_points,
     set_to_json,
 )
-from conftest import naive_enumerate, random_cplz
-
-
-def same_set(a, b):
-    return (a.c, a.G, a.E, a.A, a.b, a.R, tuple(a.id)) == (b.c, b.G, b.E, b.A, b.b, b.R, tuple(b.id))
+from conftest import naive_enumerate, random_cplz, same_set
 
 
 def test_bitstring_orientation(alloc):

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from logiczono.bitvec import BitMatrix, BitVector, Gate
+from logiczono.bitvec import BitMatrix, BitVector, Gate, embed_rows
 from logiczono.errors import DimensionError
 from logiczono.points import PointSet, enumerate_points
 from logiczono.sets import (
     ConstrainedPolyLogicalZonotope as CPLZ,
     IdAllocator,
+    apply_gate,
     canonicalize,
     derived_gate,
+    drop_inert_ids,
     exact_and,
     exact_xor,
     intersect,
@@ -21,7 +24,7 @@ from logiczono.sets import (
     refresh_ids,
     stack,
 )
-from conftest import naive_enumerate, naive_gate, naive_not, random_cplz
+from conftest import naive_enumerate, naive_gate, naive_not, random_cplz, same_set
 
 
 def set01(strings):
@@ -208,6 +211,23 @@ def test_derived_gates_vs_pointwise_oracle(rng, alloc):
             assert set(enumerate_points(got).to_bitstrings()) == naive_gate(gate.value, p1, p2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 3, 65]), shared=st.booleans())
+def test_minkowski_gates_are_exact_gates_on_fresh_ids(seed, n, shared):
+    rng = np.random.default_rng(seed)
+    c1 = random_cplz(rng, IdAllocator(), n=n)
+    c2 = random_cplz(rng, IdAllocator(1 if shared else 50), n=n)
+
+    def exact_on_copies(gate):
+        alloc = IdAllocator(100)
+        return apply_gate(gate, refresh_ids(c1, alloc), refresh_ids(c2, alloc), alloc, "exact")
+
+    for gate in Gate:
+        assert same_set(apply_gate(gate, c1, c2, IdAllocator(100), "minkowski"), exact_on_copies(gate))
+    assert same_set(mink_xor(c1, c2, IdAllocator(100)), exact_on_copies(Gate.XOR))
+    assert same_set(mink_and(c1, c2, IdAllocator(100)), exact_on_copies(Gate.AND))
+
+
 # --- exact operations ----------------------------------------------------------
 
 
@@ -298,6 +318,17 @@ def test_intersect_is_exact(rng, alloc):
         assert got == naive_enumerate(c1) & naive_enumerate(c2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 3, 65]))
+def test_intersect_commutes_in_points(seed, n):
+    rng = np.random.default_rng(seed)
+    alloc = IdAllocator()
+    c1 = random_cplz(rng, alloc, n=n, h_max=3, p_max=3)
+    c2 = random_cplz(rng, alloc, n=n, h_max=3, p_max=3)
+    both = naive_enumerate(c1) & naive_enumerate(c2)
+    assert naive_enumerate(intersect(c1, c2, alloc)) == naive_enumerate(intersect(c2, c1, alloc)) == both
+
+
 def random_lz(rng, alloc, n, h):
     return CPLZ.lz(
         BitVector.from_bits(rng.integers(0, 2, size=n)),
@@ -368,6 +399,16 @@ def test_canonicalize_duplicate_columns(alloc):
     out = canonicalize(z)
     assert out.h == 0 and out.c.to01() == "0"
     assert enumerate_points(out) == set01(["0"])
+    # one monomial, two payloads: the columns merge into their XOR
+    z = CPLZ.unconstrained(
+        BitVector.from01("000"),
+        BitMatrix.from_columns([BitVector.from01("110"), BitVector.from01("011")]),
+        BitMatrix.from_bool(np.array([[True, True]])),
+        ids,
+    )
+    out = canonicalize(z)
+    assert out.h == 1 and out.G.column(0).to01() == "101" and out.E == BitMatrix.identity(1)
+    assert enumerate_points(out) == set01(["000", "101"])
 
 
 def test_canonicalize_constant_column(alloc):
@@ -385,6 +426,47 @@ def test_canonicalize_preserves_points(rng, alloc):
     for _ in range(30):
         z = random_cplz(rng, alloc)
         assert set(enumerate_points(canonicalize(z)).to_bitstrings()) == naive_enumerate(z)
+
+
+def spread_factors(rng, z, alloc, p_total):
+    """z with its factor rows scattered over p_total rows; the other rows are inert."""
+    positions = [int(k) for k in rng.permutation(p_total)[: z.p]]
+    return CPLZ(
+        z.c, z.G, embed_rows(z.E, positions, p_total), z.A, z.b, embed_rows(z.R, positions, p_total),
+        alloc.fresh(p_total),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 3, 65]),
+    p_total=st.sampled_from([0, 6, 63, 64, 65, 130]),
+)
+def test_normalization_laws(seed, n, p_total):
+    # few factors and many columns, so monomials repeat; inert rows put the
+    # exponent keys across several words
+    rng = np.random.default_rng(seed)
+    alloc = IdAllocator()
+    z = random_cplz(rng, alloc, n=n, h_max=8, p_max=4)
+    points = naive_enumerate(z)
+    big = spread_factors(rng, z, alloc, max(p_total, z.p))
+
+    for s in (z, big):
+        out = canonicalize(s)
+        assert same_set(canonicalize(out), out)
+        assert out.h <= s.h
+        assert (out.A, out.b, out.R, out.id) == (s.A, s.b, s.R, s.id)
+        exponents = out.E.columns()
+        assert len(set(exponents)) == out.h
+        assert BitVector.zeros(out.p) not in exponents
+        assert BitVector.zeros(out.n) not in out.G.columns()
+        assert naive_enumerate(drop_inert_ids(out)) == points
+
+    live = drop_inert_ids(big)
+    assert naive_enumerate(live) == points
+    assert (live.E.to_bool().any(axis=1) | live.R.to_bool().any(axis=1)).all()
+    assert set(live.id) <= set(big.id) and live.p <= z.p
 
 
 def test_stack_shared_and_independent(alloc):
