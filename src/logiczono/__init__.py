@@ -16,7 +16,6 @@ from .points import (
     enumerate_points,
     is_empty,
     pointset_gate,
-    sets_equal,
 )
 from .reach import (
     ReachProblem,
@@ -30,7 +29,6 @@ from .sets import (
     ConstrainedPolyLogicalZonotope,
     IdAllocator,
     canonicalize,
-    derived_gate,
     exact_and,
     exact_xor,
     intersect,
@@ -64,7 +62,6 @@ __all__ = [
     "complement",
     "contains",
     "count_points",
-    "derived_gate",
     "elementwise_gate",
     "enumerate_points",
     "eval_expr_point",
@@ -82,6 +79,5 @@ __all__ = [
     "parse_network",
     "pointset_gate",
     "reach",
-    "sets_equal",
     "stack",
 ]

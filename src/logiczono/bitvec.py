@@ -132,31 +132,27 @@ class BitVector:
         return f"BitVector('{self.to01()}')"
 
 
+# Word-level form of the six gates; every constructor masks the padding bits.
+GATE_WORDS = {
+    Gate.XOR: np.bitwise_xor,
+    Gate.AND: np.bitwise_and,
+    Gate.OR: np.bitwise_or,
+    Gate.XNOR: lambda a, b: ~(a ^ b),
+    Gate.NAND: lambda a, b: ~(a & b),
+    Gate.NOR: lambda a, b: ~(a | b),
+}
+
+
 def elementwise_gate(gate: Gate, a: BitVector, b: BitVector) -> BitVector:
     """Apply one of the six binary gates position by position."""
     if a.n != b.n:
         raise DimensionError(f"bit length mismatch: {a.n} != {b.n}")
-    aw, bw = a.words, b.words
-    if gate is Gate.XOR:
-        out = aw ^ bw
-    elif gate is Gate.AND:
-        out = aw & bw
-    elif gate is Gate.OR:
-        out = aw | bw
-    elif gate is Gate.XNOR:
-        out = ~(aw ^ bw) & pad_mask(a.n)
-    elif gate is Gate.NAND:
-        out = ~(aw & bw) & pad_mask(a.n)
-    elif gate is Gate.NOR:
-        out = ~(aw | bw) & pad_mask(a.n)
-    else:
-        raise ValueError(f"unknown gate {gate!r}")
-    return BitVector(a.n, out)
+    return BitVector(a.n, GATE_WORDS[gate](a.words, b.words))
 
 
 def complement(a: BitVector) -> BitVector:
     """Flip every bit; padding stays zero."""
-    return BitVector(a.n, ~a.words & pad_mask(a.n))
+    return BitVector(a.n, ~a.words)
 
 
 def _shift_rows(words: np.ndarray, offset: int, nbits: int) -> np.ndarray:
@@ -289,13 +285,15 @@ def blkdiag(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(rows, data)
 
 
+def shift_rows(m: BitMatrix, offset: int, new_rows: int) -> BitMatrix:
+    """m's rows as one block starting at row ``offset`` of a taller matrix; the rest are zero."""
+    return BitMatrix(new_rows, _shift_rows(m.data, offset, new_rows))
+
+
 def embed_rows(m: BitMatrix, positions: Sequence[int], new_rows: int) -> BitMatrix:
     """Spread m's rows into a taller matrix: row k lands at positions[k], the rest are zero."""
     if len(positions) != m.rows:
         raise DimensionError(f"need {m.rows} positions, got {len(positions)}")
-    first = positions[0] if m.rows else 0
-    if list(positions) == list(range(first, first + m.rows)):  # one block of rows: a shift
-        return BitMatrix(new_rows, _shift_rows(m.data, first, new_rows))
     return BitMatrix(new_rows, _move_rows(m.data, range(m.rows), positions, new_rows))
 
 

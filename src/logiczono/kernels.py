@@ -19,6 +19,11 @@ Precondition: ``[start, stop)`` is an aligned power-of-two block, i.e.
 alpha in the block then shares the high bits of ``start``; only the
 columns whose high mask bits lie inside ``start`` can be active there,
 and they are transformed over the low k bits.
+
+``sweep_chunk`` transforms the constraint table, then builds the value
+table in its output buffer and keeps the point of every admissible
+assignment in the block. It takes no cap on that count: the value table
+is built whole either way.
 """
 
 from __future__ import annotations
@@ -26,13 +31,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def subset_xor(start: int, stop: int, masks: np.ndarray, payloads: np.ndarray, words: int) -> np.ndarray:
-    """(stop - start, words) table; row i is the XOR of the payloads whose mask
-    is a subset of start + i."""
-    size = stop - start
+def subset_xor(
+    start: int, masks: np.ndarray, payloads: np.ndarray, table: np.ndarray
+) -> np.ndarray:
+    """Fill ``table`` for the block of its length at ``start`` and return it: row i
+    becomes the XOR of the payloads whose mask is a subset of start + i."""
+    size, words = table.shape
     low = np.uint64(size - 1)
-    table = np.zeros((size, words), dtype=np.uint64)
-    keep = (masks & ~np.uint64(stop - 1)) == 0  # stop - 1 == start | low: high bits fit in start
+    table.fill(0)
+    keep = (masks & ~np.uint64(start | (size - 1))) == 0  # the high mask bits fit in start
     if words and keep.any():
         np.bitwise_xor.at(table, (masks[keep] & low).astype(np.intp), payloads[keep])
         half = 1
@@ -43,23 +50,26 @@ def subset_xor(start: int, stop: int, masks: np.ndarray, payloads: np.ndarray, w
     return table
 
 
-def sweep_chunk(start, stop, emasks, gwords, cwords, rmasks, awords, bwords, out, limit):
+def sweep_chunk(start, stop, emasks, gwords, cwords, rmasks, awords, bwords, out):
     """Write the points of the admissible assignments in ``[start, stop)`` to ``out``.
 
     An assignment is admissible when the XOR of the constraint columns
     ``awords`` whose mask in ``rmasks`` it covers equals ``bwords``; its
     point is ``cwords`` XOR the generator columns ``gwords`` whose mask in
-    ``emasks`` it covers. Points are written in increasing alpha order, at
-    most ``limit`` of them; returns how many were written.
+    ``emasks`` it covers. ``out`` holds at least ``stop - start`` rows: the
+    value table is built in it, then the points are packed to its front in
+    increasing alpha order. Returns how many points were written.
     """
     size = stop - start
     if size <= 0 or size & (size - 1) or start % size:
         raise ValueError(f"[{start}, {stop}) is not an aligned power-of-two block")
-    acc = subset_xor(start, stop, rmasks, awords, bwords.shape[0])
-    hits = np.flatnonzero((acc == bwords).all(axis=1))[:limit]
+    acc = subset_xor(start, rmasks, awords, np.empty((size, bwords.shape[0]), dtype=np.uint64))
+    admissible = (acc == bwords).all(axis=1)
     del acc  # hold one full table at a time
-    cnt = hits.shape[0]
+    cnt = int(np.count_nonzero(admissible))
     if cnt:
-        vals = subset_xor(start, stop, emasks, gwords, cwords.shape[0])
-        np.bitwise_xor(vals[hits], cwords, out=out[:cnt])
+        table = subset_xor(start, emasks, gwords, out[:size])
+        table ^= cwords
+        if cnt < size:
+            out[:cnt] = table[admissible]
     return cnt

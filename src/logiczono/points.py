@@ -3,11 +3,13 @@
 Converts generator-domain sets to explicit point sets by sweeping all
 factor assignments that satisfy the constraints, and provides brute-force
 set operations for equivalence testing; encodes a point list back into
-one exact set with the same transform. The sweep cost is 2^p, so it is
-guarded by an EnumerationBudget; unconstrained sets whose monomials all
-have degree at most one (logical zonotopes among them) are affine
-subspaces over GF(2) and are counted or materialized through a basis
-instead of a sweep, whatever their factor count.
+one exact set with the same transform. One sweep generator yields the
+points block by block: enumeration dedupes after each block, and a
+witness is the first point of the first non-empty block. The sweep cost
+is 2^p, so it is guarded by an EnumerationBudget; unconstrained sets
+whose monomials all have degree at most one (logical zonotopes among
+them) are affine subspaces over GF(2) and are counted or materialized
+through a basis instead of a sweep, whatever their factor count.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .bitvec import BitMatrix, BitVector, Gate, n_words, pad_mask
+from .bitvec import GATE_WORDS, BitMatrix, BitVector, Gate, n_words, pad_mask
 from .errors import BudgetExceeded, DimensionError
 from .sets import CPLZ, IdAllocator, canonicalize, drop_inert_ids
 
@@ -26,7 +28,6 @@ DEFAULT_MAX_FACTORS = 24
 DEFAULT_MAX_POINTS = 2_000_000
 
 _CHUNK_BITS = 20  # sweep in chunks of 2^20 assignments to bound memory
-_MERGE_ROWS = 1 << 22  # deduplicate once this many candidate rows accumulate
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
@@ -132,33 +133,13 @@ def pointset_gate(gate: Gate, p1: PointSet, p2: PointSet) -> PointSet:
     """Brute-force Minkowski semantics: the gate applied to every point pair."""
     if p1.n != p2.n:
         raise DimensionError(f"dimensions differ: {p1.n} != {p2.n}")
-    a = p1.rows[:, None, :]
-    b = p2.rows[None, :, :]
-    if gate is Gate.XOR:
-        out = a ^ b
-    elif gate is Gate.AND:
-        out = a & b
-    elif gate is Gate.OR:
-        out = a | b
-    elif gate is Gate.XNOR:
-        out = ~(a ^ b) & pad_mask(p1.n)
-    elif gate is Gate.NAND:
-        out = ~(a & b) & pad_mask(p1.n)
-    elif gate is Gate.NOR:
-        out = ~(a | b) & pad_mask(p1.n)
-    else:
-        raise ValueError(f"unknown gate {gate!r}")
+    out = GATE_WORDS[gate](p1.rows[:, None, :], p2.rows[None, :, :])
     return PointSet(p1.n, out.reshape(-1, p1.rows.shape[1]))
 
 
 def pointset_complement(p: PointSet) -> PointSet:
     """Flip every point (the pointwise NOT image)."""
-    return PointSet(p.n, ~p.rows & pad_mask(p.n)[None, :])
-
-
-def sets_equal(p1: PointSet, p2: PointSet) -> bool:
-    """True iff same dimension and identical point collections."""
-    return p1.n == p2.n and bool(np.array_equal(p1.rows, p2.rows))
+    return PointSet(p.n, ~p.rows)
 
 
 # --- point domain -> generator domain ---------------------------------------
@@ -186,7 +167,7 @@ def encode_points(points: Iterable[BitVector], alloc: IdAllocator) -> CPLZ:
     k = (len(points) - 1).bit_length()
     size = 1 << k
     table = np.stack([v.words for v in points] + [points[0].words] * (size - len(points)))
-    anf = kernels.subset_xor(0, size, np.arange(size, dtype=np.uint64), table, n_words(n))
+    anf = kernels.subset_xor(0, np.arange(size, dtype=np.uint64), table, np.empty_like(table))
     cols = np.flatnonzero(anf.any(axis=1)[1:]) + 1
     exponents = (cols[None, :] >> np.arange(k)[:, None]) & 1
     return CPLZ.unconstrained(
@@ -221,32 +202,9 @@ def _top_bit(words: np.ndarray) -> int:
     return -1
 
 
-class _SpanForm:
-    """Affine-subspace view: point set == offset XOR span(basis)."""
-
-    __slots__ = ("n", "offset", "basis")
-
-    def __init__(self, n: int, offset: np.ndarray, basis: list[np.ndarray]):
-        self.n = n
-        self.offset = offset
-        self.basis = basis
-
-    def count(self) -> int:
-        return 1 << len(self.basis)
-
-    def materialize(self, max_points: int) -> PointSet:
-        if self.count() > max_points:
-            raise BudgetExceeded(
-                f"affine set has 2^{len(self.basis)} points, over the cap of {max_points}"
-            )
-        pts = self.offset[None, :].copy()
-        for vec in self.basis:
-            pts = np.concatenate([pts, pts ^ vec[None, :]])
-        return PointSet(self.n, pts)
-
-
-def _span_form(c: CPLZ) -> _SpanForm | None:
-    """Detect sets whose monomials all have degree <= 1 (no effective constraints).
+def _span_form(c: CPLZ) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """(offset, basis) with point set == offset XOR span(basis), for sets whose
+    monomials all have degree <= 1 (no effective constraints).
 
     After canonicalize, the columns gated by one factor have merged into
     one and the degree-0 columns have folded into the center, so the
@@ -261,7 +219,7 @@ def _span_form(c: CPLZ) -> _SpanForm | None:
     if not (one_bit_words.all() and ((words != 0).sum(axis=1) <= 1).all()):
         return None
     d = canonicalize(c)
-    return _SpanForm(c.n, d.c.words, _gf2_basis(d.G.data))
+    return d.c.words, _gf2_basis(d.G.data)
 
 
 def _empty_by_constraints(c: CPLZ) -> bool:
@@ -269,40 +227,25 @@ def _empty_by_constraints(c: CPLZ) -> bool:
     return c.q == 0 and c.m > 0 and bool(c.b.words.any())
 
 
-def _sweep_inputs(c: CPLZ):
-    """Compact inert factor rows away and take the masks the kernels expect.
+def _sweep(c: CPLZ):
+    """Yield the points of the admissible assignments, one block of at most
+    2^_CHUNK_BITS assignments at a time; points may repeat across blocks.
 
-    Within the factor budget (at most 63 factors) each packed column of E
-    and R is one word, which is the column's factor mask.
+    Inert factor rows are compacted away first. Within the factor budget
+    (at most 63 factors) each packed column of E and R is one word, which
+    is the column's factor mask.
     """
     d = drop_inert_ids(c)
     emasks = np.bitwise_or.reduce(d.E.data, axis=1)  # the one word, or 0 when no factor is left
     rmasks = np.bitwise_or.reduce(d.R.data, axis=1)
-    gwords = np.ascontiguousarray(d.G.data)
-    awords = np.ascontiguousarray(d.A.data)
-    cwords = np.ascontiguousarray(d.c.words)
-    bwords = np.ascontiguousarray(d.b.words)
-    return d.p, emasks, gwords, cwords, rmasks, awords, bwords
-
-
-def _sweep(c: CPLZ, limit: int | None):
-    """Run the chunked assignment sweep; yields packed candidate blocks."""
-    p_active, emasks, gwords, cwords, rmasks, awords, bwords = _sweep_inputs(c)
-    total = 1 << p_active
-    chunk = 1 << min(_CHUNK_BITS, p_active)
-    out = np.empty((chunk, cwords.shape[0]), dtype=np.uint64)
-    emitted = 0
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        cap = chunk if limit is None else max(0, limit - emitted)
-        if cap == 0:
-            return
+    chunk = 1 << min(_CHUNK_BITS, d.p)
+    for start in range(0, 1 << d.p, chunk):
+        out = np.empty((chunk, n_words(c.n)), dtype=np.uint64)
         cnt = kernels.sweep_chunk(
-            start, stop, emasks, gwords, cwords, rmasks, awords, bwords, out, cap
+            start, start + chunk, emasks, d.G.data, d.c.words, rmasks, d.A.data, d.b.words, out
         )
         if cnt:
-            emitted += cnt
-            yield out[:cnt].copy()
+            yield out[:cnt]
 
 
 def _check_factor_budget(c: CPLZ, budget: EnumerationBudget) -> None:
@@ -327,21 +270,23 @@ def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointS
         return PointSet.empty(c.n)
     span = _span_form(c)
     if span is not None:
-        return span.materialize(budget.max_points)
+        offset, basis = span
+        if 1 << len(basis) > budget.max_points:
+            raise BudgetExceeded(
+                f"affine set has 2^{len(basis)} points, over the cap of {budget.max_points}"
+            )
+        pts = offset[None, :]
+        for vec in basis:
+            pts = np.concatenate([pts, pts ^ vec[None, :]])
+        return PointSet(c.n, pts)
     _check_factor_budget(c, budget)
-    blocks: list[np.ndarray] = []
-    uniq = np.zeros((0, n_words(c.n)), dtype=np.uint64)
-    for block in _sweep(c, None):
-        blocks.append(block)
-        if sum(b.shape[0] for b in blocks) >= _MERGE_ROWS:
-            uniq = _unique_rows(np.concatenate([uniq, *blocks]))
-            blocks = []
-            if uniq.shape[0] > budget.max_points:
-                raise BudgetExceeded(f"point set exceeds the cap of {budget.max_points}")
-    pts = PointSet(c.n, np.concatenate([uniq, *blocks]))
-    if len(pts) > budget.max_points:
-        raise BudgetExceeded(f"point set exceeds the cap of {budget.max_points}")
-    return pts
+    rows = np.zeros((0, n_words(c.n)), dtype=np.uint64)
+    for block in _sweep(c):
+        # the first block is deduped without a copy: it is a sweep's largest array
+        rows = _unique_rows(np.concatenate([rows, block]) if rows.shape[0] else block)
+        if rows.shape[0] > budget.max_points:
+            raise BudgetExceeded(f"point set exceeds the cap of {budget.max_points}")
+    return PointSet(c.n, rows)
 
 
 def count_points(c: CPLZ, budget: EnumerationBudget | None = None) -> int:
@@ -352,7 +297,7 @@ def count_points(c: CPLZ, budget: EnumerationBudget | None = None) -> int:
         return 0
     span = _span_form(c)
     if span is not None:
-        return span.count()
+        return 1 << len(span[1])
     return len(enumerate_points(c, budget))
 
 
@@ -363,9 +308,9 @@ def witness_point(c: CPLZ, budget: EnumerationBudget | None = None) -> BitVector
         return None
     span = _span_form(c)
     if span is not None:
-        return BitVector(c.n, span.offset)
+        return BitVector(c.n, span[0])
     _check_factor_budget(c, budget)
-    for block in _sweep(c, 1):
+    for block in _sweep(c):
         return BitVector(c.n, block[0])
     return None
 

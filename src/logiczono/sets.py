@@ -8,10 +8,12 @@ no constraints it is a polynomial logical zonotope <c, G, E, id>; with
 identity exponents over fresh ids as well it is a logical zonotope
 <c, G>, the XOR-subset combinations of G added to c.
 
-There is one gate construction. Exact operations align the operands
-onto a shared id vector first, so repeated occurrences of one set stay
-correlated; a Minkowski operation, which pairs the points of independent
-operands, is the exact one on copies with fresh ids. Every operation and
+Every binary operation is one composition: ``merge_id`` aligns the
+operands onto a shared id vector, so repeated occurrences of one set stay
+correlated, and the result carries both operands' constraints. The exact
+gates and ``stack`` differ only in their c, G and E; a Minkowski gate is
+the exact one on copies with fresh ids, and ``intersect`` composes such
+copies under one more coupling constraint. Every operation and
 normalizer works on the packed words of ``bitvec``. All values are
 immutable; operations are pure. Only IdAllocator mutates, under a lock.
 """
@@ -34,8 +36,8 @@ from .bitvec import (
     embed_rows,
     hconcat,
     select_rows,
+    shift_rows,
     unpack_rows,
-    vstack,
 )
 from .errors import DimensionError
 
@@ -154,25 +156,31 @@ def merge_id(c1: CPLZ, c2: CPLZ) -> tuple[CPLZ, CPLZ]:
     """Re-express both operands over the union of their id vectors.
 
     Order: c1's ids first, then c2's novel ids. Rows of E and R that
-    belong to a foreign id are zero, so each point set is unchanged.
+    belong to a foreign id are zero, so each point set is unchanged. When
+    all of c2's ids are novel (Minkowski copies, intersect), c2's rows are
+    one block after c1's.
     """
     known = set(c1.id)
-    merged = list(c1.id) + [i for i in c2.id if i not in known]
-    pos = {ident: k for k, ident in enumerate(merged)}
+    merged = c1.id + tuple(i for i in c2.id if i not in known)
+    p = len(merged)
 
-    def align(c: CPLZ) -> CPLZ:
-        positions = [pos[i] for i in c.id]
-        return ConstrainedPolyLogicalZonotope(
-            c.c,
-            c.G,
-            embed_rows(c.E, positions, len(merged)),
-            c.A,
-            c.b,
-            embed_rows(c.R, positions, len(merged)),
-            merged,
-        )
+    def align(c: CPLZ, place) -> CPLZ:
+        return ConstrainedPolyLogicalZonotope(c.c, c.G, place(c.E), c.A, c.b, place(c.R), merged)
 
-    return align(c1), align(c2)
+    if p == c1.p + c2.p:
+        a2 = align(c2, lambda m: shift_rows(m, c1.p, p))
+    else:
+        pos = {ident: k for k, ident in enumerate(merged)}
+        positions = [pos[i] for i in c2.id]
+        a2 = align(c2, lambda m: embed_rows(m, positions, p))
+    return align(c1, lambda m: shift_rows(m, 0, p)), a2
+
+
+def _joint(a1: CPLZ, a2: CPLZ, c: BitVector, G: BitMatrix, E: BitMatrix) -> CPLZ:
+    """<c, G, E> over the merged ids of a1 and a2, under both operands' constraints."""
+    return ConstrainedPolyLogicalZonotope(
+        c, G, E, blkdiag(a1.A, a2.A), concat(a1.b, a2.b), hconcat(a1.R, a2.R), a1.id
+    )
 
 
 def _require_same_dim(c1, c2) -> None:
@@ -222,14 +230,8 @@ def exact_xor(c1: CPLZ, c2: CPLZ) -> CPLZ:
     """Dependency-preserving XOR: operands share one factor vector after merge_id."""
     _require_same_dim(c1, c2)
     a1, a2 = merge_id(c1, c2)
-    return ConstrainedPolyLogicalZonotope(
-        elementwise_gate(Gate.XOR, a1.c, a2.c),
-        hconcat(a1.G, a2.G),
-        hconcat(a1.E, a2.E),
-        blkdiag(a1.A, a2.A),
-        concat(a1.b, a2.b),
-        hconcat(a1.R, a2.R),
-        a1.id,
+    return _joint(
+        a1, a2, elementwise_gate(Gate.XOR, a1.c, a2.c), hconcat(a1.G, a2.G), hconcat(a1.E, a2.E)
     )
 
 
@@ -238,19 +240,16 @@ def exact_and(c1: CPLZ, c2: CPLZ) -> CPLZ:
 
     Generators: [c1*G2 | c2*G1 | all pairwise products]. Pair columns use
     the OR of the operand exponent columns, since alpha^a AND alpha^b ==
-    alpha^(a OR b) for binary exponents. Both operands' constraints are
-    carried over the merged id rows.
+    alpha^(a OR b) for binary exponents.
     """
     _require_same_dim(c1, c2)
     a1, a2 = merge_id(c1, c2)
-    return ConstrainedPolyLogicalZonotope(
+    return _joint(
+        a1,
+        a2,
         elementwise_gate(Gate.AND, a1.c, a2.c),
         _and_generators(a1, a2),
         hconcat(a2.E, a1.E, _pairwise(np.bitwise_or, a1.E, a2.E)),
-        blkdiag(a1.A, a2.A),
-        concat(a1.b, a2.b),
-        hconcat(a1.R, a2.R),
-        a1.id,
     )
 
 
@@ -279,28 +278,25 @@ def apply_gate(gate: Gate, c1: CPLZ, c2: CPLZ, alloc: IdAllocator, mode: str = M
     return _GATES[gate](c1, c2)
 
 
-def derived_gate(gate: Gate, c1: CPLZ, c2: CPLZ, alloc: IdAllocator, mode: str = MINKOWSKI) -> CPLZ:
-    """XNOR, NAND, OR, NOR built from XOR/AND/NOT: the same as ``apply_gate``."""
-    return apply_gate(gate, c1, c2, alloc, mode)
-
-
 def intersect(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
     """Exact intersection.
 
-    Keeps c1's center and generators and adds a coupling constraint that
-    forces c1's expansion to equal c2's: [0 0 G1 G2] combined under the
-    exponent rows [[R1 0 E1 0], [0 R2 0 E2]] must XOR to c1 XOR c2, on
-    top of both operands' own constraints.
+    Composes independent copies of both operands (fresh ids) and keeps
+    c1's center and generators, under both operands' constraints and a
+    coupling constraint that forces c1's expansion to equal c2's: the
+    columns [G1 G2] under the exponent rows [E1 E2] must XOR to c1 XOR c2.
     """
     _require_same_dim(c1, c2)
+    a1, a2 = merge_id(refresh_ids(c1, alloc), refresh_ids(c2, alloc))
+    both = _joint(a1, a2, a1.c, a1.G, a1.E)
     return ConstrainedPolyLogicalZonotope(
-        c1.c,
-        c1.G,
-        vstack(c1.E, BitMatrix.zeros(c2.p, c1.h)),
-        blkdiag(blkdiag(c1.A, c2.A), hconcat(c1.G, c2.G)),
-        concat(concat(c1.b, c2.b), elementwise_gate(Gate.XOR, c1.c, c2.c)),
-        hconcat(blkdiag(c1.R, c2.R), blkdiag(c1.E, c2.E)),
-        alloc.fresh(c1.p + c2.p),
+        both.c,
+        both.G,
+        both.E,
+        blkdiag(both.A, hconcat(a1.G, a2.G)),
+        concat(both.b, elementwise_gate(Gate.XOR, a1.c, a2.c)),
+        hconcat(both.R, a1.E, a2.E),
+        both.id,
     )
 
 
@@ -353,18 +349,7 @@ def stack(c1: CPLZ, c2: CPLZ) -> CPLZ:
     """Dependency-preserving cartesian stack: points are [x1(alpha); x2(alpha)]
     over the shared factor vector. Used to measure joint reachable sets."""
     a1, a2 = merge_id(c1, c2)
-    n1, n2 = a1.n, a2.n
-    top = vstack(a1.G, BitMatrix.zeros(n2, a1.h))
-    bottom = vstack(BitMatrix.zeros(n1, a2.h), a2.G)
-    return ConstrainedPolyLogicalZonotope(
-        concat(a1.c, a2.c),
-        hconcat(top, bottom),
-        hconcat(a1.E, a2.E),
-        blkdiag(a1.A, a2.A),
-        concat(a1.b, a2.b),
-        hconcat(a1.R, a2.R),
-        a1.id,
-    )
+    return _joint(a1, a2, concat(a1.c, a2.c), blkdiag(a1.G, a2.G), hconcat(a1.E, a2.E))
 
 
 def lz_flatten(c: CPLZ, alloc: IdAllocator) -> CPLZ:

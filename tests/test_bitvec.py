@@ -14,6 +14,7 @@ from logiczono.bitvec import (
     hconcat,
     pack_bool_rows,
     select_rows,
+    shift_rows,
     unpack_rows,
     vstack,
 )
@@ -185,12 +186,15 @@ def test_packed_compositions_match_bool_reference(seed, r1, r2, c1, c2):
     assert concat(BitVector.from_bits(x), BitVector.from_bits(y)) == BitVector.from_bits(np.concatenate([x, y]))
 
     # scattered rows, and one block of rows at an offset
-    for positions in (rng.permutation(r1 + r2)[:r1], np.arange(r1) + int(rng.integers(0, r2 + 1))):
+    scattered = rng.permutation(r1 + r2)[:r1]
+    offset = int(rng.integers(0, r2 + 1))
+    for positions in (scattered, np.arange(r1) + offset):
         positions = [int(k) for k in positions]
         spread = np.zeros((r1 + r2, c1), dtype=bool)
         spread[positions] = a
         assert embed_rows(ma, positions, r1 + r2) == BitMatrix.from_bool(spread)
         assert select_rows(BitMatrix.from_bool(spread), positions) == ma
+    assert shift_rows(ma, offset, r1 + r2) == BitMatrix.from_bool(spread)  # the last spread is the block
 
 
 def test_identity():

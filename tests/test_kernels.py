@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from logiczono import kernels, points
 from logiczono.bitvec import BitMatrix, BitVector
-from logiczono.points import enumerate_points
+from logiczono.errors import BudgetExceeded
+from logiczono.points import EnumerationBudget, enumerate_points, is_empty, witness_point
 from logiczono.sets import ConstrainedPolyLogicalZonotope, IdAllocator
 from conftest import naive_enumerate, random_cplz
 
@@ -41,29 +42,53 @@ def test_chunked_sweep(rng, alloc, monkeypatch):
     monkeypatch.setattr(points, "_CHUNK_BITS", 2)
     assert enumerate_points(z) == whole
 
+    # points alpha over 4 factors; the constraint alpha_3 == 1 admits only
+    # alpha = 8..15, so the first two chunks of 4 assignments are empty
+    ident = BitMatrix.identity(4)
+    late = ConstrainedPolyLogicalZonotope(
+        BitVector.zeros(4), ident, ident, BitMatrix.identity(1), BitVector.ones(1),
+        BitMatrix.from_bool(np.array([[0], [0], [0], [1]], dtype=bool)), alloc.fresh(4))
+    assert witness_point(late) == BitVector.from01("0001")
+    assert not is_empty(late)
+    # 4 points per admissible chunk, 8 in all: a cap of 5 is crossed only when the last chunk joins
+    assert len(enumerate_points(late, EnumerationBudget(max_points=8))) == 8
+    with pytest.raises(BudgetExceeded):
+        enumerate_points(late, EnumerationBudget(max_points=5))
+    # the same 4 points in both chunks: the cap counts distinct points
+    twice = ConstrainedPolyLogicalZonotope(
+        BitVector.zeros(2), BitMatrix.identity(2), BitMatrix.from_bool(np.eye(4, 2, dtype=bool)),
+        BitMatrix.from_bool(np.array([[1, 0]], dtype=bool)), BitVector.ones(1),
+        BitMatrix.from_bool(np.array([[0, 0], [0, 0], [0, 1], [1, 0]], dtype=bool)), alloc.fresh(4))
+    assert len(enumerate_points(twice, EnumerationBudget(max_points=4))) == 4
 
-def test_limit_contract():
-    # the kernel fills at most `limit` rows even when more assignments satisfy,
-    # and writes them in increasing alpha order
+
+def test_alpha_order_and_offset_block():
+    # every admissible point is written, in increasing alpha order, also for
+    # an aligned block that starts past 0
     emasks = np.array([1, 2], dtype=np.uint64)
     gwords = np.array([[1], [2]], dtype=np.uint64)
     cwords = np.zeros(1, dtype=np.uint64)
     nothing = np.zeros(0, dtype=np.uint64)
     awords = np.zeros((0, 0), dtype=np.uint64)
     out = np.zeros((4, 1), dtype=np.uint64)
-    assert kernels.sweep_chunk(0, 4, emasks, gwords, cwords, nothing, awords, nothing, out, 1) == 1
-    assert out[0, 0] == 0
-    assert kernels.sweep_chunk(0, 4, emasks, gwords, cwords, nothing, awords, nothing, out, 3) == 3
-    assert out[:3, 0].tolist() == [0, 1, 2]
-    assert kernels.sweep_chunk(4, 8, emasks, gwords, cwords, nothing, awords, nothing, out, 4) == 4
+    assert kernels.sweep_chunk(0, 4, emasks, gwords, cwords, nothing, awords, nothing, out) == 4
     assert out[:, 0].tolist() == [0, 1, 2, 3]
+    out[:] = 9
+    emasks = np.array([1, 4], dtype=np.uint64)  # factor 2 is set throughout [4, 8)
+    assert kernels.sweep_chunk(4, 8, emasks, gwords, cwords, nothing, awords, nothing, out) == 4
+    assert out[:, 0].tolist() == [2, 3, 2, 3]
+    # a constraint that rejects factor 1: the admissible points move to the front
+    one = np.ones(1, dtype=np.uint64)
+    rmasks, awords, bwords = np.array([2], dtype=np.uint64), one[:, None], np.zeros(1, dtype=np.uint64)
+    assert kernels.sweep_chunk(4, 8, emasks, gwords, cwords, rmasks, awords, bwords, out) == 2
+    assert out[:2, 0].tolist() == [2, 3]
 
 
 def test_unaligned_block_rejected():
     nothing = np.zeros(0, dtype=np.uint64)
     out = np.zeros((4, 1), dtype=np.uint64)
     args = (nothing, np.zeros((0, 1), dtype=np.uint64), np.zeros(1, dtype=np.uint64),
-            nothing, np.zeros((0, 0), dtype=np.uint64), nothing, out, 4)
+            nothing, np.zeros((0, 0), dtype=np.uint64), nothing, out)
     for start, stop in ((0, 3), (2, 6), (4, 4)):
         with pytest.raises(ValueError):
             kernels.sweep_chunk(start, stop, *args)

@@ -15,7 +15,6 @@ from logiczono.points import (
     enumerate_points,
     is_empty,
     pointset_gate,
-    sets_equal,
 )
 from logiczono.sets import (
     ConstrainedPolyLogicalZonotope as CPLZ,
@@ -147,9 +146,9 @@ def test_pointset_gate_dimension_error():
 
 def test_sets_equal():
     p = set01(["01", "10"])
-    assert sets_equal(p, set01(["10", "01"]))
-    assert not sets_equal(set01(["0"]), set01(["1"]))
-    assert not sets_equal(set01(["0"]), set01(["00"]))
+    assert p == set01(["10", "01"])
+    assert set01(["0"]) != set01(["1"])
+    assert set01(["0"]) != set01(["00"])
 
 
 def test_cardinality_bounds(rng, alloc):

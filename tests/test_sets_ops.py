@@ -10,7 +10,6 @@ from logiczono.sets import (
     IdAllocator,
     apply_gate,
     canonicalize,
-    derived_gate,
     drop_inert_ids,
     exact_and,
     exact_xor,
@@ -185,19 +184,19 @@ def test_derived_gate_truth_tables(alloc):
         for mode in ("minkowski", "exact"):
             for x in "01":
                 for y in "01":
-                    got = derived_gate(gate, singleton(x), singleton(y), alloc, mode)
+                    got = apply_gate(gate, singleton(x), singleton(y), alloc, mode)
                     want = naive_gate(gate.value, {x}, {y})
                     assert set(enumerate_points(got).to_bitstrings()) == want, (gate, mode, x, y)
 
 
 def test_derived_gate_examples(alloc):
     assert enumerate_points(
-        derived_gate(Gate.NAND, singleton("1"), singleton("1"), alloc)
+        apply_gate(Gate.NAND, singleton("1"), singleton("1"), alloc)
     ) == set01(["0"])
-    got = derived_gate(Gate.OR, two_valued(alloc), singleton("0"), alloc)
+    got = apply_gate(Gate.OR, two_valued(alloc), singleton("0"), alloc)
     assert enumerate_points(got) == set01(["0", "1"])
     assert enumerate_points(
-        derived_gate(Gate.NOR, singleton("0"), singleton("0"), alloc)
+        apply_gate(Gate.NOR, singleton("0"), singleton("0"), alloc)
     ) == set01(["1"])
 
 
@@ -207,7 +206,7 @@ def test_derived_gates_vs_pointwise_oracle(rng, alloc):
         c2 = random_cplz(rng, alloc, n=2)
         p1, p2 = naive_enumerate(c1), naive_enumerate(c2)
         for gate in (Gate.XNOR, Gate.NAND, Gate.OR, Gate.NOR):
-            got = derived_gate(gate, c1, c2, alloc, "minkowski")
+            got = apply_gate(gate, c1, c2, alloc, "minkowski")
             assert set(enumerate_points(got).to_bitstrings()) == naive_gate(gate.value, p1, p2)
 
 
@@ -229,6 +228,22 @@ def test_minkowski_gates_are_exact_gates_on_fresh_ids(seed, n, shared):
 
 
 # --- exact operations ----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 3, 65]), offset=st.integers(0, 5))
+def test_exact_de_morgan(seed, n, offset):
+    # b's ids start at 1 + offset, so the operands share all, some or none of a's ids;
+    # an exact gate acts per factor assignment, so its points are the gate on the pairs of stack(a, b)
+    rng = np.random.default_rng(seed)
+    a = random_cplz(rng, IdAllocator(), n=n, h_max=3, p_max=4)
+    b = random_cplz(rng, IdAllocator(1 + offset), n=n, h_max=3, p_max=4)
+    pairs = [(z[:n], z[n:]) for z in naive_enumerate(stack(a, b))]
+    alloc = IdAllocator(100)
+    for gate, dual, name in ((Gate.AND, Gate.OR, "nand"), (Gate.OR, Gate.AND, "nor")):
+        want = set().union(*(naive_gate(name, {x}, {y}) for x, y in pairs))
+        assert naive_enumerate(negate(apply_gate(gate, a, b, alloc, "exact"))) == want
+        assert naive_enumerate(apply_gate(dual, negate(a), negate(b), alloc, "exact")) == want
 
 
 def test_exact_xor_self_cancels(rng, alloc):
@@ -327,6 +342,14 @@ def test_intersect_commutes_in_points(seed, n):
     c2 = random_cplz(rng, alloc, n=n, h_max=3, p_max=3)
     both = naive_enumerate(c1) & naive_enumerate(c2)
     assert naive_enumerate(intersect(c1, c2, alloc)) == naive_enumerate(intersect(c2, c1, alloc)) == both
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 3, 65]))
+def test_intersect_with_itself_keeps_the_points(seed, n):
+    rng = np.random.default_rng(seed)
+    a = random_cplz(rng, IdAllocator(), n=n, h_max=3, p_max=4)
+    assert naive_enumerate(intersect(a, a, IdAllocator(100))) == naive_enumerate(a)
 
 
 def random_lz(rng, alloc, n, h):
