@@ -115,11 +115,6 @@ class BitVector:
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return int((self.words[i // WORD_BITS] >> np.uint64(i % WORD_BITS)) & np.uint64(1))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitVector):
             return NotImplemented
@@ -267,15 +262,6 @@ def hconcat(*mats: BitMatrix) -> BitMatrix:
         if m.rows != rows:
             raise DimensionError(f"row count mismatch: {m.rows} != {rows}")
     return BitMatrix(rows, np.concatenate([m.data for m in mats], axis=0))
-
-
-def vstack(top: BitMatrix, bottom: BitMatrix) -> BitMatrix:
-    """Stack matrices vertically (same column count)."""
-    if top.cols != bottom.cols:
-        raise DimensionError(f"column count mismatch: {top.cols} != {bottom.cols}")
-    rows = top.rows + bottom.rows
-    data = _shift_rows(top.data, 0, rows) | _shift_rows(bottom.data, top.rows, rows)
-    return BitMatrix(rows, data)
 
 
 def blkdiag(a: BitMatrix, b: BitMatrix) -> BitMatrix:

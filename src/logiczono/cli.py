@@ -20,8 +20,8 @@ from .bitvec import BitMatrix, BitVector
 from .errors import BudgetExceeded, NetParseError
 from .network import parse_network
 from .points import DEFAULT_MAX_FACTORS, EnumerationBudget, enumerate_points
-from .reach import ReachProblem, SafetySpec, check_unsafe, joint_size, reach
-from .sets import CPLZ, IdAllocator, intersect, intersect_overapprox_lz, mink_and
+from .reach import REP_CPLZ, REPS, ReachProblem, SafetySpec, check_unsafe, joint_size, reach
+from .sets import EXACT, MINKOWSKI, CPLZ, IdAllocator, intersect, intersect_overapprox_lz, mink_and
 from . import setio
 
 TIMING_REPS = 10  # median of this many runs, after one discarded warm-up
@@ -263,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_reach.add_argument("--init", required=True, help="JSON bindings for initial state sets")
     p_reach.add_argument("--inputs", help="JSON bindings for input sets (map, or per-step array)")
     p_reach.add_argument("--steps", type=int, required=True)
-    p_reach.add_argument("--rep", choices=["lz", "plz", "cplz"], default="cplz")
-    p_reach.add_argument("--mode", choices=["exact", "minkowski"], default="exact")
+    p_reach.add_argument("--rep", choices=REPS, default=REP_CPLZ)
+    p_reach.add_argument("--mode", choices=(EXACT, MINKOWSKI), default=EXACT)
     p_reach.add_argument("--enumerate", action="store_true", help="report joint point counts per step")
     p_reach.add_argument("--unsafe", help='JSON {"state": NAME, "set": {...}}')
     p_reach.add_argument("--max-factors", type=int, default=None)

@@ -35,9 +35,6 @@ from .sets import (
     MINKOWSKI,
     IdAllocator,
     apply_gate,
-    canonicalize,
-    drop_inert_ids,
-    lz_flatten,
     negate,
 )
 
@@ -281,19 +278,15 @@ def eval_expr_sets(
     env: dict,
     mode: str = EXACT,
     alloc: IdAllocator | None = None,
-    flatten_lz: bool = False,
+    normalize=lambda s: s,
 ):
     """Bottom-up evaluation over constrained polynomial logical zonotopes.
 
     In exact mode, variables bound to the same set (or to sets sharing
-    factor ids) stay correlated; minkowski mode re-ids at every gate. With
-    flatten_lz, every gate result is released to logical-zonotope form,
-    reproducing the behavior of running the whole network on plain
-    logical zonotopes.
-
-    Every gate result is normalized (duplicate generator columns cancel,
-    factor rows that gate nothing drop); point sets and shared ids are
-    unaffected, but deep expressions stay tractable.
+    factor ids) stay correlated; minkowski mode re-ids at every gate.
+    Every gate result passes through ``normalize`` (the identity by
+    default); ``reach`` passes its rep's normal form, so deep expressions
+    stay tractable.
     """
     if mode not in (EXACT, MINKOWSKI):
         raise ValueError(f"mode must be '{EXACT}' or '{MINKOWSKI}', got {mode!r}")
@@ -307,9 +300,6 @@ def eval_expr_sets(
             return env[node.name]
         if isinstance(node, Not):
             return negate(rec(node.operand))
-        result = apply_gate(node.op, rec(node.lhs), rec(node.rhs), alloc, mode)
-        if flatten_lz:
-            return lz_flatten(result, alloc)
-        return drop_inert_ids(canonicalize(result))
+        return normalize(apply_gate(node.op, rec(node.lhs), rec(node.rhs), alloc, mode))
 
     return rec(expr)

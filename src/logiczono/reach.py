@@ -105,15 +105,13 @@ class ReachResult:
     """Per-step state sets plus the joint point count and wall time per step.
 
     sizes[k] is None when point counts were not requested. Step 0 holds
-    the initial sets themselves.
+    the initial sets in the rep's normal form.
     """
 
     state_names: list[str]
     steps: list[dict[str, CPLZ]] = field(default_factory=list)
     sizes: list[int | None] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
-    mode: str = EXACT
-    rep: str = REP_CPLZ
 
     def joint(self, k: int) -> CPLZ:
         """The step-k state vector stacked in declaration order."""
@@ -134,26 +132,28 @@ def reach(
 ) -> ReachResult:
     """Iterate the network per the synchronous semantics for problem.steps steps.
 
-    rep="lz" flattens every gate result to logical-zonotope form (an
-    overapproximating run); "plz" and "cplz" run the polynomial
-    constructions unchanged. Point counts are joint over the stacked
-    state vector and only computed when with_sizes is set; the factor
-    budget then applies.
+    Every set is normalized once, where it enters a step (the initial sets,
+    each step's fresh input copies) or leaves a gate, so every state set,
+    step 0 included, is in the rep's normal form. rep="lz" flattens to
+    logical-zonotope form (an overapproximating run, always in minkowski
+    mode); "plz" and "cplz" keep the polynomial constructions exact. Point
+    counts are joint over the stacked state vector and only computed when
+    with_sizes is set; the factor budget then applies.
     """
     if mode not in (EXACT, MINKOWSKI):
         raise ValueError(f"mode must be '{EXACT}' or '{MINKOWSKI}', got {mode!r}")
     if rep not in REPS:
         raise ValueError(f"rep must be one of {REPS}, got {rep!r}")
     alloc = alloc or IdAllocator()
-    flatten = rep == REP_LZ
-    if flatten:
+    if rep == REP_LZ:
         mode = MINKOWSKI
+        normalize = lambda s: lz_flatten(s, alloc)
+    else:
+        # merged monomials and no inert factor rows: the point set is kept
+        normalize = lambda s: drop_inert_ids(canonicalize(s))
 
-    env = dict(problem.init)
-    if flatten:
-        env = {name: lz_flatten(s, alloc) for name, s in env.items()}
-
-    result = ReachResult(state_names=problem.net.state_names, mode=mode, rep=rep)
+    env = {name: normalize(s) for name, s in problem.init.items()}
+    result = ReachResult(state_names=problem.net.state_names)
     result.steps.append(env)
     result.times.append(0.0)
     result.sizes.append(None)
@@ -162,15 +162,11 @@ def reach(
         t0 = time.perf_counter()
         bound = dict(env)
         for name, s in step_inputs.items():
-            fresh = refresh_ids(s, alloc)
-            bound[name] = lz_flatten(fresh, alloc) if flatten else fresh
-        new_env = {}
-        for name in problem.net.state_names:
-            value = eval_expr_sets(
-                problem.net.updates[name], bound, mode, alloc, flatten_lz=flatten
-            )
-            new_env[name] = value if flatten else drop_inert_ids(canonicalize(value))
-        env = new_env
+            bound[name] = normalize(refresh_ids(s, alloc))
+        env = {
+            name: eval_expr_sets(problem.net.updates[name], bound, mode, alloc, normalize)
+            for name in problem.net.state_names
+        }
         result.steps.append(env)
         result.times.append(time.perf_counter() - t0)
         result.sizes.append(None)

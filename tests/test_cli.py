@@ -94,20 +94,36 @@ def test_reach_closed_stdout_pipe(tmp_path, unbuffered):
     assert [row["verdict"] for row in doc["per_step"]] == ["SAFE", "UNSAFE"]
 
 
-def test_reach_example_circuit(tmp_path, capsys):
+CIRCUIT = [
+    "reach",
+    "--net", str(DATA / "circuit3x10.bn"),
+    "--init", str(DATA / "circuit3x10_init.json"),
+    "--inputs", str(DATA / "circuit3x10_inputs.json"),
+]
+
+
+@pytest.mark.parametrize(
+    "rep, sizes", [("cplz", [64, 150, 180]), ("lz", [512, 512, 512])], ids=["cplz", "lz"]
+)
+def test_reach_example_circuit(tmp_path, capsys, rep, sizes):
     report = tmp_path / "r.json"
     code = main([
-        "reach",
-        "--net", str(DATA / "circuit3x10.bn"),
-        "--init", str(DATA / "circuit3x10_init.json"),
-        "--inputs", str(DATA / "circuit3x10_inputs.json"),
-        "--steps", "3",
-        "--rep", "cplz", "--mode", "exact", "--enumerate",
+        *CIRCUIT, "--steps", "3",
+        "--rep", rep, "--mode", "exact", "--enumerate",
         "--json", str(report),
     ])
     assert code == 0
     doc = json.loads(report.read_text())
-    assert [row["size"] for row in doc["per_step"]] == [64, 150, 180]
+    assert [row["size"] for row in doc["per_step"]] == sizes
+
+
+def test_reach_example_circuit_minkowski(capsys):
+    code = main([*CIRCUIT, "--steps", "5", "--mode", "minkowski", "--enumerate"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "step 3 joint state set (h=162, p=37)" in err
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [(int(r[0]), int(r[2])) for r in rows] == [(1, 128), (2, 200)]
 
 
 def test_reach_point_lists_single_run(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logiczono.bitvec import BitVector
+from logiczono.bitvec import BitMatrix, BitVector
 from logiczono.errors import BudgetExceeded, DimensionError
 from logiczono.network import parse_network
 from logiczono.points import EnumerationBudget, PointSet, enumerate_points
@@ -13,8 +13,10 @@ from logiczono.reach import (
     reach,
 )
 from logiczono.sets import ConstrainedPolyLogicalZonotope as CPLZ
+from logiczono.sets import canonicalize, drop_inert_ids
 from logiczono.setio import set_from_points as points_set
 from conftest import random_network_setup as _random_network_setup
+from conftest import same_set
 
 
 def set01(strings):
@@ -45,7 +47,7 @@ def test_zero_steps_returns_inits(alloc):
     prob = ReachProblem(net=net, init={"b": init}, steps=0)
     res = reach(prob, alloc=alloc)
     assert len(res.steps) == 1
-    assert res.steps[0]["b"] is init
+    assert same_set(res.steps[0]["b"], init)
 
 
 def test_synchronous_swap(alloc):
@@ -152,6 +154,48 @@ def test_lz_rep_superset_of_exact(alloc):
         for k in range(steps + 1):
             assert lz.sizes[k] >= exact.sizes[k]
             assert enumerate_points(exact.joint(k)).issubset(enumerate_points(lz.joint(k)))
+
+
+def _denormalized(s: CPLZ, alloc) -> CPLZ:
+    """The same point set with one inert factor row and, when there is a
+    generator, a cancelling pair of copies of the first column."""
+    G, E, R = s.G.to_bool(), s.E.to_bool(), s.R.to_bool()
+    E = np.vstack([E, np.zeros((1, s.h), dtype=bool)])
+    R = np.vstack([R, np.zeros((1, s.q), dtype=bool)])
+    if s.h:
+        G = np.hstack([G, G[:, :1], G[:, :1]])
+        E = np.hstack([E, E[:, :1], E[:, :1]])
+    return CPLZ(
+        s.c, BitMatrix.from_bool(G), BitMatrix.from_bool(E), s.A, s.b, BitMatrix.from_bool(R),
+        s.id + tuple(alloc.fresh(1)),
+    )
+
+
+def test_reach_states_are_in_normal_form(alloc):
+    # every set enters reach with an inert id row and two cancelling columns;
+    # every state set reach returns, step 0 included, is normalized. Minkowski
+    # sets grow too fast for a third step on every network, so it runs two.
+    rng = np.random.default_rng(81)
+    for _ in range(40):
+        net, init, input_sets, init_pts, input_pts = _random_network_setup(rng, alloc)
+        init = {k: _denormalized(s, alloc) for k, s in init.items()}
+        input_sets = {k: _denormalized(s, alloc) for k, s in input_sets.items()}
+        oracle = exhaustive_reach(net, init_pts, input_pts, 3)
+        for mode, steps in (("exact", 3), ("minkowski", 2)):
+            prob = ReachProblem(net=net, init=init, inputs=input_sets, steps=steps)
+            res = reach(prob, mode=mode, alloc=alloc)
+            for k, sets in enumerate(res.steps):
+                for s in sets.values():
+                    assert same_set(s, drop_inert_ids(canonicalize(s)))
+                try:
+                    got = enumerate_points(res.joint(k), EnumerationBudget(max_factors=16))
+                except BudgetExceeded:
+                    assert mode == "minkowski"
+                    continue
+                if mode == "exact":
+                    assert got == oracle[k]
+                else:
+                    assert oracle[k].issubset(got)
 
 
 def test_check_unsafe_alternation(alloc):

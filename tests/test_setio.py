@@ -18,7 +18,7 @@ from conftest import naive_enumerate, random_cplz, same_set
 def test_bitstring_orientation(alloc):
     doc = {"kind": "lz", "n": 2, "c": "10", "G": []}
     s = load_set(doc, alloc)
-    assert s.c[0] == 1 and s.c[1] == 0
+    assert s.c.bits().tolist() == [1, 0]
 
 
 def test_lz_roundtrip(alloc):
