@@ -12,6 +12,7 @@ set, bit 1 clear.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,13 +36,19 @@ def n_words(nbits: int) -> int:
     return (nbits + WORD_BITS - 1) // WORD_BITS
 
 
+@lru_cache(maxsize=None)
 def pad_mask(nbits: int) -> np.ndarray:
-    """Per-word mask with ones at bit positions < nbits and zeros in the padding."""
+    """Per-word mask with ones at bit positions < nbits and zeros in the padding.
+
+    Built once per length and shared, so it is read-only: callers AND it
+    into a new array.
+    """
     nw = n_words(nbits)
     mask = np.full(nw, _ALL_ONES, dtype=np.uint64)
     tail = nbits % WORD_BITS
     if nw and tail:
         mask[-1] = (np.uint64(1) << np.uint64(tail)) - np.uint64(1)
+    mask.setflags(write=False)
     return mask
 
 

@@ -10,6 +10,8 @@ is 2^p, so it is guarded by an EnumerationBudget; unconstrained sets
 whose monomials all have degree at most one (logical zonotopes among
 them) are affine subspaces over GF(2) and are counted or materialized
 through a basis instead of a sweep, whatever their factor count.
+Enumeration dedupes by sorting the packed words of the swept points and
+keeping each row that differs from its predecessor.
 """
 
 from __future__ import annotations
@@ -31,13 +33,18 @@ _CHUNK_BITS = 20  # sweep in chunks of 2^20 assignments to bound memory
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Lexicographically sorted unique rows; much faster than unique(axis=0)."""
+    """Distinct rows sorted numerically, word 0 as the primary key.
+
+    Sorts the packed words and keeps each row that differs from its
+    predecessor.
+    """
     if rows.shape[0] == 0 or rows.shape[1] == 0:
         return rows[:1] if rows.shape[1] == 0 and rows.shape[0] else rows.copy()
-    if rows.shape[1] == 1:
-        return np.unique(rows[:, 0])[:, None]
-    as_void = np.ascontiguousarray(rows).view([("", rows.dtype)] * rows.shape[1]).ravel()
-    return np.unique(as_void).view(rows.dtype).reshape(-1, rows.shape[1])
+    s = np.sort(rows, axis=0) if rows.shape[1] == 1 else rows[np.lexsort(rows.T[::-1])]
+    keep = np.empty(s.shape[0], dtype=bool)
+    keep[0] = True
+    np.any(s[1:] != s[:-1], axis=1, out=keep[1:])
+    return s[keep]
 
 
 @dataclass(frozen=True)

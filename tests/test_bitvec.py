@@ -13,6 +13,7 @@ from logiczono.bitvec import (
     embed_rows,
     hconcat,
     pack_bool_rows,
+    pad_mask,
     select_rows,
     shift_rows,
     unpack_rows,
@@ -98,6 +99,18 @@ def test_padding_stays_clear():
             assert np.array_equal(out.words, repacked)
         out = complement(a)
         assert np.array_equal(out.words, pack_bool_rows(out.bits()[None, :])[0])
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+def test_shared_pad_mask_is_read_only(n):
+    mask = pad_mask(n)
+    assert mask is pad_mask(n)
+    with pytest.raises(ValueError):
+        mask[...] = 0
+    ones = BitVector.ones(n)
+    assert ones == BitVector.from01("1" * n)
+    assert np.array_equal(ones.words, pack_bool_rows(np.ones((1, n), dtype=bool))[0])
+    assert np.array_equal(pad_mask(n), pack_bool_rows(np.ones((1, n), dtype=bool))[0])
 
 
 def test_dimension_mismatch():

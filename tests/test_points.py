@@ -15,6 +15,7 @@ from logiczono.points import (
     enumerate_points,
     is_empty,
     pointset_gate,
+    _unique_rows,
 )
 from logiczono.sets import (
     ConstrainedPolyLogicalZonotope as CPLZ,
@@ -173,6 +174,34 @@ def test_pointset_dedup_and_order():
     b = PointSet.from_bitstrings(["01", "10"])
     assert len(a) == 2 and a == b
     assert a.to_bitstrings() == b.to_bitstrings()
+
+
+def _struct_unique(rows):
+    # reference order: np.unique over one structured uint64 field per word
+    w = rows.shape[1]
+    as_void = np.ascontiguousarray(rows).view([("", np.uint64)] * w).ravel()
+    return np.unique(as_void).view(np.uint64).reshape(-1, w)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_unique_rows_order_is_numeric_word0_first(w):
+    rng = np.random.default_rng(100 + w)
+    for _ in range(100):
+        distinct = rng.integers(0, 2**64, size=(int(rng.integers(1, 20)), w), dtype=np.uint64)
+        # shared words so later words decide some comparisons
+        distinct[rng.random(distinct.shape) < 0.4] = np.uint64(7)
+        rows = distinct[rng.integers(0, distinct.shape[0], size=int(rng.integers(1, 200)))]
+        assert np.array_equal(_unique_rows(rows), _struct_unique(rows))
+        n = 64 * (w - 1) + int(rng.integers(1, 65))
+        ref = PointSet(n, rows)
+        dup = np.concatenate([rows, rows[::-1], rows[: rows.shape[0] // 2]])
+        shuffled = PointSet(n, dup[rng.permutation(dup.shape[0])])
+        assert np.array_equal(shuffled.rows, ref.rows)
+        assert shuffled.to_bitstrings() == ref.to_bitstrings()
+    no_rows = np.zeros((0, w), dtype=np.uint64)
+    assert _unique_rows(no_rows).shape == _struct_unique(no_rows).shape == (0, w)
+    for k in range(3):
+        assert _unique_rows(np.zeros((k, 0), dtype=np.uint64)).shape == (min(k, 1), 0)
 
 
 def test_union_subset():
