@@ -158,7 +158,12 @@ def complement(a: BitVector) -> BitVector:
 
 
 def _shift_rows(words: np.ndarray, offset: int, nbits: int) -> np.ndarray:
-    """Packed rows moved up by ``offset`` bit positions into zeroed rows of nbits bits."""
+    """Packed rows moved up by ``offset`` bit positions into zeroed rows of nbits bits.
+
+    Returns ``words`` itself when nothing moves; callers build new arrays from it.
+    """
+    if offset == 0 and words.shape[1] == n_words(nbits):
+        return words
     out = np.zeros((words.shape[0], n_words(nbits)), dtype=np.uint64)
     w, s = divmod(offset, WORD_BITS)
     k = words.shape[1]

@@ -36,13 +36,17 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """Distinct rows sorted numerically, word 0 as the primary key.
 
     Sorts the packed words and keeps each row that differs from its
-    predecessor.
+    predecessor; one-word rows are sorted and compared as 1-D keys.
     """
     if rows.shape[0] == 0 or rows.shape[1] == 0:
         return rows[:1] if rows.shape[1] == 0 and rows.shape[0] else rows.copy()
-    s = np.sort(rows, axis=0) if rows.shape[1] == 1 else rows[np.lexsort(rows.T[::-1])]
+    one_word = rows.shape[1] == 1
+    s = np.sort(rows[:, 0]) if one_word else rows[np.lexsort(rows.T[::-1])]
     keep = np.empty(s.shape[0], dtype=bool)
     keep[0] = True
+    if one_word:
+        np.not_equal(s[1:], s[:-1], out=keep[1:])
+        return s[keep].reshape(-1, 1)
     np.any(s[1:] != s[:-1], axis=1, out=keep[1:])
     return s[keep]
 

@@ -32,11 +32,26 @@ def _matrix_to_strings(m: BitMatrix) -> list[str]:
     return [m.column(j).to01() for j in range(m.cols)]
 
 
-def _matrix_from_strings(strings, rows: int, what: str) -> BitMatrix:
-    if not isinstance(strings, list):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _bitstrings(value, what: str) -> list[str]:
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
         raise ValueError(f"{what} must be a list of bitstrings")
+    return value
+
+
+def _bitstring(doc: dict, key: str, default: str) -> BitVector:
+    value = doc.get(key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a bitstring")
+    return BitVector.from01(value)
+
+
+def _matrix_from_strings(strings, rows: int, what: str) -> BitMatrix:
     cols = []
-    for s in strings:
+    for s in _bitstrings(strings, what):
         if len(s) != rows:
             raise ValueError(f"{what} column {s!r} has length {len(s)}, expected {rows}")
         cols.append(BitVector.from01(s))
@@ -68,24 +83,28 @@ def load_set(doc, alloc: IdAllocator) -> CPLZ:
     if not isinstance(doc, dict):
         raise ValueError(f"a set must be a JSON object, got {type(doc).__name__}")
     if "points" in doc:
-        return set_from_points(doc["points"], alloc)
+        return set_from_points(_bitstrings(doc["points"], "points"), alloc)
     kind = doc.get("kind")
     if kind not in ("lz", "plz", "cplz"):
         raise ValueError(f"unknown set kind {kind!r}")
     if "n" not in doc:
         raise ValueError("a set document needs its dimension n")
-    n = int(doc["n"])
-    c = BitVector.from01(doc.get("c", "0" * n))
+    n = doc["n"]
+    if not _is_int(n) or n < 0:
+        raise ValueError("n must be a non-negative integer")
+    c = _bitstring(doc, "c", "0" * n)
     if c.n != n:
         raise ValueError(f"center has length {c.n}, expected {n}")
     G = _matrix_from_strings(doc.get("G", []), n, "G")
     if kind == "lz":
         return CPLZ.lz(c, G, alloc)
-    ids = [int(i) for i in doc.get("id", [])]
+    ids = doc.get("id", [])
+    if not (isinstance(ids, list) and all(map(_is_int, ids))):
+        raise ValueError("id must be a list of integers")
     E = _matrix_from_strings(doc.get("E", []), len(ids), "E")
     if kind == "plz":
         return CPLZ.unconstrained(c, G, E, ids)
-    b = BitVector.from01(doc.get("b", ""))
+    b = _bitstring(doc, "b", "")
     A = _matrix_from_strings(doc.get("A", []), b.n, "A")
     R = _matrix_from_strings(doc.get("R", []), len(ids), "R")
     return CPLZ(c, G, E, A, b, R, ids)

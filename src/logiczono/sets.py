@@ -62,10 +62,10 @@ class IdAllocator:
 
 
 def _check_distinct_ids(ids: Sequence[int]) -> tuple[int, ...]:
-    ids = tuple(int(i) for i in ids)
+    ids = tuple(map(int, ids))
     if len(set(ids)) != len(ids):
         raise ValueError(f"factor ids must be pairwise distinct: {ids}")
-    if any(i <= 0 for i in ids):
+    if ids and min(ids) <= 0:
         raise ValueError(f"factor ids must be positive: {ids}")
     return ids
 
@@ -158,7 +158,7 @@ def merge_id(c1: CPLZ, c2: CPLZ) -> tuple[CPLZ, CPLZ]:
     Order: c1's ids first, then c2's novel ids. Rows of E and R that
     belong to a foreign id are zero, so each point set is unchanged. When
     all of c2's ids are novel (Minkowski copies, intersect), c2's rows are
-    one block after c1's.
+    one block after c1's. c1 itself is returned when c2 adds no id.
     """
     known = set(c1.id)
     merged = c1.id + tuple(i for i in c2.id if i not in known)
@@ -173,7 +173,7 @@ def merge_id(c1: CPLZ, c2: CPLZ) -> tuple[CPLZ, CPLZ]:
         pos = {ident: k for k, ident in enumerate(merged)}
         positions = [pos[i] for i in c2.id]
         a2 = align(c2, lambda m: embed_rows(m, positions, p))
-    return align(c1, lambda m: shift_rows(m, 0, p)), a2
+    return (c1 if p == c1.p else align(c1, lambda m: shift_rows(m, 0, p))), a2
 
 
 def _joint(a1: CPLZ, a2: CPLZ, c: BitVector, G: BitMatrix, E: BitMatrix) -> CPLZ:

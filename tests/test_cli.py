@@ -194,12 +194,26 @@ def test_enumerate_two_generators(tmp_path, capsys):
         (["0", "1"], "JSON object"),
         ({"kind": "lz", "c": "01"}, "dimension n"),
         ({"kind": "lz", "n": 2, "G": 5}, "list of bitstrings"),
+        ({"points": ["01", 5]}, "points must be a list of bitstrings"),
+        ({"points": "0101"}, "points must be a list of bitstrings"),
+        ({"kind": "plz", "n": 2, "c": "01", "G": [3]}, "G must be a list of bitstrings"),
+        ({"kind": "cplz", "n": 2, "c": 7}, "c must be a bitstring"),
+        ({"kind": "cplz", "n": 1, "b": 1}, "b must be a bitstring"),
+        ({"kind": "cplz", "n": 1, "E": [0], "id": [1]}, "E must be a list of bitstrings"),
+        ({"kind": "cplz", "n": 1, "id": ["1"]}, "id must be a list of integers"),
+        ({"kind": "cplz", "n": [2]}, "n must be a non-negative integer"),
     ],
 )
 def test_enumerate_malformed_set_is_a_usage_error(tmp_path, capsys, doc, message):
     p = write(tmp_path / "bad.json", doc)
     assert main(["enumerate", "--set", p]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_reach_malformed_init_is_a_usage_error(tmp_path, toy_net, capsys):
+    init = write(tmp_path / "init.json", {"b": {"points": "0"}})
+    assert main(["reach", "--net", toy_net, "--init", init, "--steps", "1"]) == 2
+    assert "points must be a list of bitstrings" in capsys.readouterr().err
 
 
 def test_enumerate_lz_document_past_the_factor_cap(tmp_path, capsys):

@@ -92,3 +92,75 @@ def test_unaligned_block_rejected():
     for start, stop in ((0, 3), (2, 6), (4, 4)):
         with pytest.raises(ValueError):
             kernels.sweep_chunk(start, stop, *args)
+
+
+def _subset_xor_reference(start, masks, payloads, size, words):
+    """Row i is the XOR of the payloads whose mask is a subset of start + i."""
+    table = np.zeros((size, words), dtype=np.uint64)
+    for i in range(size):
+        alpha = np.uint64(start + i)
+        for mask, payload in zip(masks, payloads):
+            if mask & alpha == mask:
+                table[i] ^= payload
+    return table
+
+
+def _random_columns(rng, h, bits, words):
+    masks = rng.integers(0, 1 << bits, size=h).astype(np.uint64)
+    masks[rng.random(h) < 0.2] = masks[0] if h else 0  # duplicate masks
+    return masks, rng.integers(0, 2**64, size=(h, words), dtype=np.uint64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(0, 12), words=st.integers(0, 3),
+       block=st.integers(0, 3))
+def test_subset_xor_matches_per_row_reference(seed, p, words, block):
+    # blocks smaller and larger than 2^FOLD_BITS rows, masks with bits above
+    # the block, and aligned blocks past 0
+    rng = np.random.default_rng(seed)
+    size = 1 << p
+    masks, payloads = _random_columns(rng, int(rng.integers(0, 24)), p + 2, words)
+    table = np.full((size, words), 7, dtype=np.uint64)
+    got = kernels.subset_xor(block * size, masks, payloads, table)
+    assert got is table
+    assert np.array_equal(got, _subset_xor_reference(block * size, masks, payloads, size, words))
+
+
+@pytest.mark.parametrize("p", [3, 6, 9])
+def test_subset_xor_dense_set_folds_nothing(rng, p):
+    # h close to 2^p, as an encoded point list has: the guard keeps the fold
+    # width at 0, while a sparse set of the same size folds FOLD_BITS bits
+    size = 1 << p
+    assert kernels._fold_width(size, size) == 0
+    assert kernels._fold_width(1, 1 << 20) == kernels.FOLD_BITS
+    masks, payloads = _random_columns(rng, size + 5, p, 2)
+    got = kernels.subset_xor(size, masks, payloads, np.empty((size, 2), dtype=np.uint64))
+    assert np.array_equal(got, _subset_xor_reference(size, masks, payloads, size, 2))
+
+
+def test_fold_width_keeps_the_scatter_small():
+    for h in (1, 3, 100, 886, 5000):
+        for p in range(0, 21):
+            b = kernels._fold_width(h, 1 << p)
+            assert 0 <= b <= kernels.FOLD_BITS
+            assert b == 0 or h << b <= (1 << p) // kernels.SCATTER_SHARE
+            assert b == kernels.FOLD_BITS or h << (b + 1) > (1 << p) // kernels.SCATTER_SHARE
+
+
+def test_sweep_without_constraint_columns():
+    # q = 0: b == 0 admits the whole block in alpha order, any other b nothing
+    emasks = np.array([1, 2, 6], dtype=np.uint64)
+    gwords = np.array([[1], [2], [4]], dtype=np.uint64)
+    cwords = np.array([8], dtype=np.uint64)
+    nothing = np.zeros(0, dtype=np.uint64)
+    out = np.full((8, 1), 99, dtype=np.uint64)
+    for m in (0, 1, 70):
+        zero_b = np.zeros((m + 63) // 64, dtype=np.uint64)
+        awords = np.zeros((0, zero_b.shape[0]), dtype=np.uint64)
+        assert kernels.sweep_chunk(0, 8, emasks, gwords, cwords, nothing, awords, zero_b, out) == 8
+        assert out[:, 0].tolist() == [8, 9, 10, 11, 8, 9, 14, 15]
+        if m:
+            one_b = zero_b.copy()
+            one_b[-1] = 1
+            out[:] = 99
+            assert kernels.sweep_chunk(0, 8, emasks, gwords, cwords, nothing, awords, one_b, out) == 0
