@@ -175,14 +175,22 @@ def _shift_rows(words: np.ndarray, offset: int, nbits: int) -> np.ndarray:
 
 
 def _move_rows(words: np.ndarray, src: Sequence[int], dst: Sequence[int], nbits: int) -> np.ndarray:
-    """Zeroed packed rows of nbits bits that take bit src[k] of each row at bit dst[k]."""
+    """Zeroed packed rows of nbits bits that take bit src[k] of each row at bit dst[k].
+
+    Moves maximal runs that step by one within one word on both sides, one shift and mask each."""
     src = np.asarray(src, dtype=np.intp)
     dst = np.asarray(dst, dtype=np.intp)
-    bits = (words[:, src // WORD_BITS] >> (src % WORD_BITS).astype(np.uint64)) & np.uint64(1)
-    place = np.zeros((dst.size, n_words(nbits)), dtype=np.uint64)
-    shifts = (dst % WORD_BITS).astype(np.uint64)
-    place[np.arange(dst.size), dst // WORD_BITS] = np.uint64(1) << shifts
-    return bits @ place  # dst holds distinct positions, so the sum of the placed bits is their OR
+    out = np.zeros((words.shape[0], n_words(nbits)), dtype=np.uint64)
+    if src.size == 0 or words.shape[0] == 0:
+        return out
+    split = (src[1:] != src[:-1] + 1) | (dst[1:] != dst[:-1] + 1)
+    split |= (src[1:] % WORD_BITS == 0) | (dst[1:] % WORD_BITS == 0)
+    bounds = [0, *(np.flatnonzero(split) + 1).tolist(), src.size]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        s, d = int(src[lo]), int(dst[lo])
+        run = (words[:, s // WORD_BITS] >> np.uint64(s % WORD_BITS)) & np.uint64((1 << (hi - lo)) - 1)
+        out[:, d // WORD_BITS] |= run << np.uint64(d % WORD_BITS)
+    return out
 
 
 def concat(a: BitVector, b: BitVector) -> BitVector:

@@ -87,6 +87,14 @@ class PointSet:
         self.rows = rows
 
     @classmethod
+    def _of_unique(cls, n: int, rows: np.ndarray) -> "PointSet":
+        """Trust rows that are already masked, distinct and sorted, as _unique_rows leaves them."""
+        ps = object.__new__(cls)
+        rows.setflags(write=False)
+        ps.n, ps.rows = n, rows
+        return ps
+
+    @classmethod
     def empty(cls, n: int) -> "PointSet":
         return cls(n, np.zeros((0, n_words(n)), dtype=np.uint64))
 
@@ -297,7 +305,7 @@ def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointS
         rows = _unique_rows(np.concatenate([rows, block]) if rows.shape[0] else block)
         if rows.shape[0] > budget.max_points:
             raise BudgetExceeded(f"point set exceeds the cap of {budget.max_points}")
-    return PointSet(c.n, rows)
+    return PointSet._of_unique(c.n, rows)  # swept points are masked like c and G
 
 
 def count_points(c: CPLZ, budget: EnumerationBudget | None = None) -> int:

@@ -136,7 +136,8 @@ def reach(
     each step's fresh input copies) or leaves a gate, so every state set,
     step 0 included, is in the rep's normal form. rep="lz" flattens to
     logical-zonotope form (an overapproximating run, always in minkowski
-    mode); "plz" and "cplz" keep the polynomial constructions exact. Point
+    mode); "plz" and "cplz" keep the polynomial constructions exact; a gate
+    over ``sets.MAX_COLUMNS`` fails naming the step and the state. Point
     counts are joint over the stacked state vector and only computed when
     with_sizes is set; the factor budget then applies.
     """
@@ -158,15 +159,17 @@ def reach(
     result.times.append(0.0)
     result.sizes.append(None)
 
-    for step_inputs in problem.inputs_for_steps():
+    for k, step_inputs in enumerate(problem.inputs_for_steps(), start=1):
         t0 = time.perf_counter()
         bound = dict(env)
         for name, s in step_inputs.items():
             bound[name] = normalize(refresh_ids(s, alloc))
-        env = {
-            name: eval_expr_sets(problem.net.updates[name], bound, mode, alloc, normalize)
-            for name in problem.net.state_names
-        }
+        env = {}
+        for name in problem.net.state_names:
+            try:
+                env[name] = eval_expr_sets(problem.net.updates[name], bound, mode, alloc, normalize)
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(f"step {k} update of {name}: {exc}") from exc
         result.steps.append(env)
         result.times.append(time.perf_counter() - t0)
         result.sizes.append(None)

@@ -8,19 +8,21 @@ no constraints it is a polynomial logical zonotope <c, G, E, id>; with
 identity exponents over fresh ids as well it is a logical zonotope
 <c, G>, the XOR-subset combinations of G added to c.
 
-Every binary operation is one composition: ``merge_id`` aligns the
-operands onto a shared id vector, so repeated occurrences of one set stay
-correlated, and the result carries both operands' constraints. The exact
-gates and ``stack`` differ only in their c, G and E; a Minkowski gate is
-the exact one on copies with fresh ids, and ``intersect`` composes such
-copies under one more coupling constraint. Every operation and
+Every binary operation is one composition: ``_align`` puts both
+operands' exponent and constraint words over one merged id vector, so
+repeated occurrences of one set stay correlated, and the result carries
+both operands' constraints. The exact gates, ``stack`` and ``intersect``
+build their result from those words in one constructor call and differ
+only in their c, G and E (``intersect`` adds a coupling constraint on
+copies with fresh ids); a Minkowski gate is the exact one on such
+copies. The six gates are the XOR or AND core with complemented input
+and output centers, since NOT flips only a center. Every operation and
 normalizer works on the packed words of ``bitvec``. All values are
-immutable; operations are pure. Only IdAllocator mutates, under a lock.
+immutable; operations are pure. Only IdAllocator mutates.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -35,14 +37,18 @@ from .bitvec import (
     elementwise_gate,
     embed_rows,
     hconcat,
+    n_words,
+    pad_mask,
     select_rows,
     shift_rows,
     unpack_rows,
 )
-from .errors import DimensionError
+from .errors import BudgetExceeded, DimensionError
 
 MINKOWSKI = "minkowski"
 EXACT = "exact"
+# Cap on the columns one gate may build; an AND of h1 and h2 columns builds h1 + h2 + h1*h2.
+MAX_COLUMNS = 1 << 22
 
 
 class IdAllocator:
@@ -50,14 +56,12 @@ class IdAllocator:
 
     def __init__(self, start: int = 1):
         self._next = start
-        self._lock = threading.Lock()
 
     def fresh(self, count: int) -> list[int]:
         if count < 0:
             raise ValueError("count must be non-negative")
-        with self._lock:
-            first = self._next
-            self._next += count
+        first = self._next
+        self._next += count
         return list(range(first, first + count))
 
 
@@ -152,35 +156,45 @@ class ConstrainedPolyLogicalZonotope:
 CPLZ = ConstrainedPolyLogicalZonotope
 
 
-def merge_id(c1: CPLZ, c2: CPLZ) -> tuple[CPLZ, CPLZ]:
-    """Re-express both operands over the union of their id vectors.
-
-    Order: c1's ids first, then c2's novel ids. Rows of E and R that
-    belong to a foreign id are zero, so each point set is unchanged. When
-    all of c2's ids are novel (Minkowski copies, intersect), c2's rows are
-    one block after c1's. c1 itself is returned when c2 adds no id.
-    """
+def _align(c1: CPLZ, c2: CPLZ) -> tuple:
+    """(ids, E1, R1, E2, R2): the merged ids, c1's first and then c2's novel ones,
+    and both operands' E and R words over them. Rows of a foreign id are zero,
+    so each point set is unchanged; an operand whose ids lead the merged
+    vector in order, in as many words, keeps its own words."""
     known = set(c1.id)
-    merged = c1.id + tuple(i for i in c2.id if i not in known)
-    p = len(merged)
-
-    def align(c: CPLZ, place) -> CPLZ:
-        return ConstrainedPolyLogicalZonotope(c.c, c.G, place(c.E), c.A, c.b, place(c.R), merged)
-
-    if p == c1.p + c2.p:
-        a2 = align(c2, lambda m: shift_rows(m, c1.p, p))
+    ids = c1.id + tuple(i for i in c2.id if i not in known)
+    p = len(ids)
+    if p == c1.p + c2.p:  # all of c2's ids are novel: its rows are one block after c1's
+        move2 = lambda m: shift_rows(m, c1.p, p)
     else:
-        pos = {ident: k for k, ident in enumerate(merged)}
+        pos = {ident: k for k, ident in enumerate(ids)}
         positions = [pos[i] for i in c2.id]
-        a2 = align(c2, lambda m: embed_rows(m, positions, p))
-    return (c1 if p == c1.p else align(c1, lambda m: shift_rows(m, 0, p))), a2
+        move2 = lambda m: embed_rows(m, positions, p)
+
+    def place(c: CPLZ, move) -> tuple[np.ndarray, np.ndarray]:
+        if c.id == ids[: c.p] and n_words(c.p) == n_words(p):
+            return c.E.data, c.R.data
+        return move(c.E).data, move(c.R).data
+
+    return (ids, *place(c1, lambda m: shift_rows(m, 0, p)), *place(c2, move2))
 
 
-def _joint(a1: CPLZ, a2: CPLZ, c: BitVector, G: BitMatrix, E: BitMatrix) -> CPLZ:
-    """<c, G, E> over the merged ids of a1 and a2, under both operands' constraints."""
-    return ConstrainedPolyLogicalZonotope(
-        c, G, E, blkdiag(a1.A, a2.A), concat(a1.b, a2.b), hconcat(a1.R, a2.R), a1.id
-    )
+def merge_id(c1: CPLZ, c2: CPLZ) -> tuple[CPLZ, CPLZ]:
+    """Both operands over the union of their id vectors (see ``_align``); c1
+    itself when c2 adds no id."""
+    ids, E1, R1, E2, R2 = _align(c1, c2)
+    p = len(ids)
+    a2 = CPLZ(c2.c, c2.G, BitMatrix(p, E2), c2.A, c2.b, BitMatrix(p, R2), ids)
+    return (c1 if p == c1.p else CPLZ(c1.c, c1.G, BitMatrix(p, E1), c1.A, c1.b, BitMatrix(p, R1), ids)), a2
+
+
+def _constraints(c1: CPLZ, c2: CPLZ, R1: np.ndarray, R2: np.ndarray) -> tuple:
+    """(A, b, R words) of both operands' constraints; composed only when both have some."""
+    if not (c2.m or c2.q):
+        return c1.A, c1.b, R1
+    if not (c1.m or c1.q):
+        return c2.A, c2.b, R2
+    return blkdiag(c1.A, c2.A), concat(c1.b, c2.b), np.concatenate([R1, R2])
 
 
 def _require_same_dim(c1, c2) -> None:
@@ -188,27 +202,14 @@ def _require_same_dim(c1, c2) -> None:
         raise DimensionError(f"set dimensions differ: {c1.c.n} != {c2.c.n}")
 
 
-def _scale(v: BitVector, m: BitMatrix) -> BitMatrix:
-    """AND a fixed vector into every column."""
-    if m.rows != v.n:
-        raise DimensionError(f"vector length {v.n} != matrix rows {m.rows}")
-    return BitMatrix(m.rows, m.data & v.words[None, :])
-
-
-def _pairwise(op, m1: BitMatrix, m2: BitMatrix) -> BitMatrix:
-    """All columnwise op(m1[:,i], m2[:,j]), i-major order."""
-    if m1.rows != m2.rows:
-        raise DimensionError(f"row count mismatch: {m1.rows} != {m2.rows}")
-    prod = op(m1.data[:, None, :], m2.data[None, :, :])
-    return BitMatrix(m1.rows, prod.reshape(m1.cols * m2.cols, m1.data.shape[1]))
-
-
-def _and_generators(x1: CPLZ, x2: CPLZ) -> BitMatrix:
-    return hconcat(
-        _scale(x1.c, x2.G),
-        _scale(x2.c, x1.G),
-        _pairwise(np.bitwise_and, x1.G, x2.G),
-    )
+def _product(op, x1, x2, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The word rows [x1 op m2 | x2 op m1 | every m1[i] op m2[j], i-major], built in place."""
+    h1, h2 = m1.shape[0], m2.shape[0]
+    out = np.empty((h2 + h1 + h1 * h2, m1.shape[1]), dtype=np.uint64)
+    op(x1, m2, out=out[:h2])
+    op(x2, m1, out=out[h2 : h2 + h1])
+    op(m1[:, None, :], m2[None, :, :], out=out[h2 + h1 :].reshape(h1, h2, m1.shape[1]))
+    return out
 
 
 def mink_xor(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
@@ -226,41 +227,48 @@ def negate(c: CPLZ) -> CPLZ:
     return ConstrainedPolyLogicalZonotope(complement(c.c), c.G, c.E, c.A, c.b, c.R, c.id)
 
 
-def exact_xor(c1: CPLZ, c2: CPLZ) -> CPLZ:
-    """Dependency-preserving XOR: operands share one factor vector after merge_id."""
+def _gate(c1: CPLZ, c2: CPLZ, core: Gate, flip1=False, flip2=False, flip_out=False) -> CPLZ:
+    """The exact XOR or AND core with the chosen centers complemented, which is
+    its composition with ``negate``. AND generators: [x1*G2 | x2*G1 | all
+    pairwise products] for the input centers x; pair columns take the OR of
+    the exponent columns, since alpha^a AND alpha^b == alpha^(a OR b)."""
     _require_same_dim(c1, c2)
-    a1, a2 = merge_id(c1, c2)
-    return _joint(
-        a1, a2, elementwise_gate(Gate.XOR, a1.c, a2.c), hconcat(a1.G, a2.G), hconcat(a1.E, a2.E)
-    )
+    ids, E1, R1, E2, R2 = _align(c1, c2)
+    x1 = ~c1.c.words if flip1 else c1.c.words
+    x2 = ~c2.c.words if flip2 else c2.c.words
+    if core is Gate.XOR:
+        c, G, E = x1 ^ x2, np.concatenate([c1.G.data, c2.G.data]), np.concatenate([E1, E2])
+    else:
+        cols = c1.h + c2.h + c1.h * c2.h
+        if cols > MAX_COLUMNS:
+            msg = f"an AND of {c1.h} x {c2.h} generators would build {cols} columns"
+            raise BudgetExceeded(f"{msg}, over the cap of {MAX_COLUMNS}")
+        G = _product(np.bitwise_and, x1, x2, c1.G.data, c2.G.data)
+        c, E = x1 & x2, _product(np.bitwise_or, np.uint64(0), np.uint64(0), E1, E2)
+    A, b, R = _constraints(c1, c2, R1, R2)
+    c, p = BitVector(c1.n, ~c if flip_out else c), len(ids)
+    return CPLZ(c, BitMatrix(c1.n, G), BitMatrix(p, E), A, b, BitMatrix(p, R), ids)
+
+
+def exact_xor(c1: CPLZ, c2: CPLZ) -> CPLZ:
+    """Dependency-preserving XOR: operands share one factor vector over their merged ids."""
+    return _gate(c1, c2, Gate.XOR)
 
 
 def exact_and(c1: CPLZ, c2: CPLZ) -> CPLZ:
-    """Dependency-preserving AND.
-
-    Generators: [c1*G2 | c2*G1 | all pairwise products]. Pair columns use
-    the OR of the operand exponent columns, since alpha^a AND alpha^b ==
-    alpha^(a OR b) for binary exponents.
-    """
-    _require_same_dim(c1, c2)
-    a1, a2 = merge_id(c1, c2)
-    return _joint(
-        a1,
-        a2,
-        elementwise_gate(Gate.AND, a1.c, a2.c),
-        _and_generators(a1, a2),
-        hconcat(a2.E, a1.E, _pairwise(np.bitwise_or, a1.E, a2.E)),
-    )
+    """Dependency-preserving AND; see ``_gate`` for its generators."""
+    return _gate(c1, c2, Gate.AND)
 
 
-# The six binary gates over exact XOR, exact AND and NOT; NAND is the universal gate.
+# Each binary gate as the XOR or AND core plus complemented centers (input 1,
+# input 2, output): e.g. OR == NOT(AND(NOT a, NOT b)); NAND is the universal gate.
 _GATES = {
-    Gate.XOR: exact_xor,
-    Gate.AND: exact_and,
-    Gate.XNOR: lambda c1, c2: negate(exact_xor(c1, c2)),
-    Gate.NAND: lambda c1, c2: negate(exact_and(c1, c2)),
-    Gate.OR: lambda c1, c2: negate(exact_and(negate(c1), negate(c2))),
-    Gate.NOR: lambda c1, c2: exact_and(negate(c1), negate(c2)),
+    Gate.XOR: (Gate.XOR, False, False, False),
+    Gate.AND: (Gate.AND, False, False, False),
+    Gate.XNOR: (Gate.XOR, False, False, True),
+    Gate.NAND: (Gate.AND, False, False, True),
+    Gate.OR: (Gate.AND, True, True, True),
+    Gate.NOR: (Gate.AND, True, True, False),
 }
 
 
@@ -275,7 +283,7 @@ def apply_gate(gate: Gate, c1: CPLZ, c2: CPLZ, alloc: IdAllocator, mode: str = M
         raise ValueError(f"mode must be '{MINKOWSKI}' or '{EXACT}', got {mode!r}")
     if mode == MINKOWSKI:
         c1, c2 = refresh_ids(c1, alloc), refresh_ids(c2, alloc)
-    return _GATES[gate](c1, c2)
+    return _gate(c1, c2, *_GATES[gate])
 
 
 def intersect(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
@@ -287,17 +295,12 @@ def intersect(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
     columns [G1 G2] under the exponent rows [E1 E2] must XOR to c1 XOR c2.
     """
     _require_same_dim(c1, c2)
-    a1, a2 = merge_id(refresh_ids(c1, alloc), refresh_ids(c2, alloc))
-    both = _joint(a1, a2, a1.c, a1.G, a1.E)
-    return ConstrainedPolyLogicalZonotope(
-        both.c,
-        both.G,
-        both.E,
-        blkdiag(both.A, hconcat(a1.G, a2.G)),
-        concat(both.b, elementwise_gate(Gate.XOR, a1.c, a2.c)),
-        hconcat(both.R, a1.E, a2.E),
-        both.id,
-    )
+    d1, d2 = refresh_ids(c1, alloc), refresh_ids(c2, alloc)
+    ids, E1, R1, E2, R2 = _align(d1, d2)
+    A, b, R = _constraints(d1, d2, R1, R2)
+    A, b = blkdiag(A, hconcat(c1.G, c2.G)), concat(b, elementwise_gate(Gate.XOR, c1.c, c2.c))
+    p = len(ids)
+    return CPLZ(c1.c, c1.G, BitMatrix(p, E1), A, b, BitMatrix(p, np.concatenate([R, E1, E2])), ids)
 
 
 def intersect_overapprox_lz(l1: CPLZ, l2: CPLZ, alloc: IdAllocator) -> CPLZ:
@@ -308,7 +311,8 @@ def intersect_overapprox_lz(l1: CPLZ, l2: CPLZ, alloc: IdAllocator) -> CPLZ:
     each hull, so the result is a sound superset for any operands.
     """
     _require_same_dim(l1, l2)
-    return CPLZ.lz(elementwise_gate(Gate.AND, l1.c, l2.c), _and_generators(l1, l2), alloc)
+    G = _product(np.bitwise_and, l1.c.words, l2.c.words, l1.G.data, l2.G.data)
+    return CPLZ.lz(elementwise_gate(Gate.AND, l1.c, l2.c), BitMatrix(l1.n, G), alloc)
 
 
 def canonicalize(c: CPLZ) -> CPLZ:
@@ -329,27 +333,29 @@ def canonicalize(c: CPLZ) -> CPLZ:
     # lexsort is stable: columns with one key keep their order
     order = np.lexsort(words.T) if words.shape[1] else np.arange(c.h)
     keys = words[order]
-    first = np.flatnonzero(np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)]))
-    payloads = np.bitwise_xor.reduceat(c.G.data[order], first, axis=0)
-    keys = keys[first]
+    payloads = c.G.data[order]
+    differs = (keys[1:] != keys[:-1]).any(axis=1)
+    if not differs.all():
+        first = np.flatnonzero(np.concatenate([[True], differs]))
+        payloads = np.bitwise_xor.reduceat(payloads, first, axis=0)
+        keys = keys[first]
     const = ~keys.any(axis=1)
+    center = c.c
+    if const.any():
+        center = BitVector(c.n, c.c.words ^ np.bitwise_xor.reduce(payloads[const], axis=0))
     keep = ~const & payloads.any(axis=1)
-    return ConstrainedPolyLogicalZonotope(
-        BitVector(c.n, c.c.words ^ np.bitwise_xor.reduce(payloads[const], axis=0)),
-        BitMatrix(c.n, payloads[keep]),
-        BitMatrix(c.p, keys[keep]),
-        c.A,
-        c.b,
-        c.R,
-        c.id,
-    )
+    if not keep.all():
+        payloads, keys = payloads[keep], keys[keep]
+    return CPLZ(center, BitMatrix(c.n, payloads), BitMatrix(c.p, keys), c.A, c.b, c.R, c.id)
 
 
 def stack(c1: CPLZ, c2: CPLZ) -> CPLZ:
     """Dependency-preserving cartesian stack: points are [x1(alpha); x2(alpha)]
     over the shared factor vector. Used to measure joint reachable sets."""
-    a1, a2 = merge_id(c1, c2)
-    return _joint(a1, a2, concat(a1.c, a2.c), blkdiag(a1.G, a2.G), hconcat(a1.E, a2.E))
+    ids, E1, R1, E2, R2 = _align(c1, c2)
+    A, b, R = _constraints(c1, c2, R1, R2)
+    p, E = len(ids), np.concatenate([E1, E2])
+    return CPLZ(concat(c1.c, c2.c), blkdiag(c1.G, c2.G), BitMatrix(p, E), A, b, BitMatrix(p, R), ids)
 
 
 def lz_flatten(c: CPLZ, alloc: IdAllocator) -> CPLZ:
@@ -378,10 +384,10 @@ def drop_inert_ids(c: CPLZ) -> CPLZ:
     Such a factor gates nothing and constrains nothing, so the point set
     is unchanged; keeping the rows only inflates enumeration budgets.
     """
-    used = np.bitwise_or.reduce(np.concatenate([c.E.data, c.R.data]), axis=0)
-    live = np.flatnonzero(unpack_rows(used[None, :], c.p)[0])
-    if live.size == c.p:
+    used = np.bitwise_or.reduce(c.E.data, axis=0) | np.bitwise_or.reduce(c.R.data, axis=0)
+    if np.array_equal(used, pad_mask(c.p)):
         return c
+    live = np.flatnonzero(unpack_rows(used[None, :], c.p)[0])
     return ConstrainedPolyLogicalZonotope(
         c.c, c.G, select_rows(c.E, live), c.A, c.b, select_rows(c.R, live), [c.id[k] for k in live]
     )

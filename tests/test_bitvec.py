@@ -6,6 +6,7 @@ from logiczono.bitvec import (
     BitMatrix,
     BitVector,
     Gate,
+    _move_rows,
     blkdiag,
     complement,
     concat,
@@ -203,6 +204,38 @@ def test_packed_compositions_match_bool_reference(seed, r1, r2, c1, c2):
         assert embed_rows(ma, positions, r1 + r2) == BitMatrix.from_bool(spread)
         assert select_rows(BitMatrix.from_bool(spread), positions) == ma
     assert shift_rows(ma, offset, r1 + r2) == BitMatrix.from_bool(spread)  # the last spread is the block
+
+
+def _run_positions(rng, lengths):
+    """Positions made of contiguous runs of the given lengths, laid out in a
+    shuffled order at random gaps; returns them in run order with a row count."""
+    starts = np.empty(len(lengths), dtype=int)
+    at = 0
+    for k in rng.permutation(len(lengths)):
+        at += int(rng.integers(0, 16))
+        starts[k] = at
+        at += int(lengths[k])
+    positions = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lengths)])
+    return [int(k) for k in positions], at + int(rng.integers(0, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 4), cols=st.integers(0, 3))
+def test_row_moves_by_runs_match_bool_reference(seed, runs, cols):
+    # a few contiguous runs at random starts on each side (up to 200 rows), so
+    # runs cross word boundaries on the source side, the destination side or both
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 36, size=runs)
+    src, src_rows = _run_positions(rng, lengths)
+    dst, dst_rows = _run_positions(rng, lengths)
+    a = rng.integers(0, 2, size=(src_rows, cols)).astype(bool)
+    moved = np.zeros((dst_rows, cols), dtype=bool)
+    moved[dst] = a[src]
+    words = _move_rows(BitMatrix.from_bool(a).data, src, dst, dst_rows)
+    assert np.array_equal(words, BitMatrix.from_bool(moved).data)
+    block = BitMatrix.from_bool(a[src])
+    assert embed_rows(block, dst, dst_rows) == BitMatrix.from_bool(moved)
+    assert select_rows(BitMatrix.from_bool(a), src) == block
 
 
 def test_identity():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from logiczono import sets
 from logiczono.cli import main
 from logiczono.network import parse_network
 from logiczono.points import PointSet
@@ -124,6 +125,14 @@ def test_reach_example_circuit_minkowski(capsys):
     assert "step 3 joint state set (h=162, p=37)" in err
     rows = [line.split() for line in out.splitlines()[1:]]
     assert [(int(r[0]), int(r[2])) for r in rows] == [(1, 128), (2, 200)]
+
+
+def test_reach_construction_budget_exit(capsys, monkeypatch):
+    # with a cap of 200 columns, B3's NAND at step 5 (121 x 2 generators) is refused
+    monkeypatch.setattr(sets, "MAX_COLUMNS", 200)
+    code = main([*CIRCUIT, "--steps", "5"])
+    assert code == 3
+    assert "step 5 update of B3: an AND of 121 x 2 generators" in capsys.readouterr().err
 
 
 def test_reach_point_lists_single_run(tmp_path, capsys):

@@ -171,6 +171,18 @@ def _denormalized(s: CPLZ, alloc) -> CPLZ:
     )
 
 
+def test_construction_budget_names_the_step(alloc):
+    # in minkowski mode the 8th and 17th of these networks would build gates of
+    # about 31 M and 11 M columns at step 3; the AND core refuses before building
+    rng = np.random.default_rng(81)
+    networks = [_random_network_setup(rng, alloc) for _ in range(17)]
+    for k, sizes in ((7, "4654 x 6674"), (16, "222 x 49284")):
+        net, init, input_sets, _, _ = networks[k]
+        prob = ReachProblem(net=net, init=init, inputs=input_sets, steps=3)
+        with pytest.raises(BudgetExceeded, match=f"^step 3 update of s\\d: an AND of {sizes} generators"):
+            reach(prob, mode="minkowski", alloc=alloc)
+
+
 def test_reach_states_are_in_normal_form(alloc):
     # every set enters reach with an inert id row and two cancelling columns;
     # every state set reach returns, step 0 included, is normalized. Minkowski

@@ -246,6 +246,25 @@ def test_exact_de_morgan(seed, n, offset):
         assert naive_enumerate(apply_gate(dual, negate(a), negate(b), alloc, "exact")) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 3, 65, 130]), offset=st.integers(0, 6))
+def test_exact_gates_are_their_de_morgan_compositions(seed, n, offset):
+    # b's ids start at 1 + offset, so the operands share all, some or none of a's ids
+    rng = np.random.default_rng(seed)
+    a = random_cplz(rng, IdAllocator(), n=n)
+    b = random_cplz(rng, IdAllocator(1 + offset), n=n)
+    compositions = {
+        Gate.XOR: exact_xor(a, b),
+        Gate.AND: exact_and(a, b),
+        Gate.XNOR: negate(exact_xor(a, b)),
+        Gate.NAND: negate(exact_and(a, b)),
+        Gate.OR: negate(exact_and(negate(a), negate(b))),
+        Gate.NOR: exact_and(negate(a), negate(b)),
+    }
+    for gate, want in compositions.items():
+        assert same_set(apply_gate(gate, a, b, IdAllocator(100), "exact"), want)
+
+
 def test_exact_xor_self_cancels(rng, alloc):
     for _ in range(15):
         x = random_cplz(rng, alloc, n=3)
