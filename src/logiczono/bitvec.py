@@ -157,46 +157,40 @@ def complement(a: BitVector) -> BitVector:
     return BitVector(a.n, ~a.words)
 
 
-def _shift_rows(words: np.ndarray, offset: int, nbits: int) -> np.ndarray:
-    """Packed rows moved up by ``offset`` bit positions into zeroed rows of nbits bits.
-
-    Returns ``words`` itself when nothing moves; callers build new arrays from it.
-    """
-    if offset == 0 and words.shape[1] == n_words(nbits):
-        return words
-    out = np.zeros((words.shape[0], n_words(nbits)), dtype=np.uint64)
-    w, s = divmod(offset, WORD_BITS)
-    k = words.shape[1]
-    out[:, w : w + k] = words << np.uint64(s)
-    if s:  # the bits shifted out of each word carry into the next one, if it exists
-        carry = min(k, out.shape[1] - w - 1)
-        out[:, w + 1 : w + 1 + carry] |= words[:, :carry] >> np.uint64(WORD_BITS - s)
-    return out
-
-
 def _move_rows(words: np.ndarray, src: Sequence[int], dst: Sequence[int], nbits: int) -> np.ndarray:
     """Zeroed packed rows of nbits bits that take bit src[k] of each row at bit dst[k].
 
-    Moves maximal runs that step by one within one word on both sides, one shift and mask each."""
-    src = np.asarray(src, dtype=np.intp)
-    dst = np.asarray(dst, dtype=np.intp)
+    Splits (src, dst) into maximal runs that step by one on both sides within
+    one word on each side, found on plain ints, and moves each run with at
+    most one shift down, one mask and one shift up, skipping those it does
+    not need."""
     out = np.zeros((words.shape[0], n_words(nbits)), dtype=np.uint64)
-    if src.size == 0 or words.shape[0] == 0:
+    if words.shape[0] == 0:
         return out
-    split = (src[1:] != src[:-1] + 1) | (dst[1:] != dst[:-1] + 1)
-    split |= (src[1:] % WORD_BITS == 0) | (dst[1:] % WORD_BITS == 0)
-    bounds = [0, *(np.flatnonzero(split) + 1).tolist(), src.size]
+    bounds, ps, pd = [], -2, -2
+    for k, (s, d) in enumerate(zip(src, dst)):
+        if s != ps + 1 or d != pd + 1 or not (s % WORD_BITS and d % WORD_BITS):
+            bounds.append(k)
+        ps, pd = s, d
+    bounds.append(len(src))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        s, d = int(src[lo]), int(dst[lo])
-        run = (words[:, s // WORD_BITS] >> np.uint64(s % WORD_BITS)) & np.uint64((1 << (hi - lo)) - 1)
-        out[:, d // WORD_BITS] |= run << np.uint64(d % WORD_BITS)
+        (ws, s), (wd, d) = divmod(src[lo], WORD_BITS), divmod(dst[lo], WORD_BITS)
+        run = words[:, ws]
+        if s:
+            run = run >> np.uint64(s)
+        if s + hi - lo < WORD_BITS:
+            run = run & np.uint64((1 << (hi - lo)) - 1)
+        if d:
+            run = run << np.uint64(d)
+        out[:, wd] |= run
     return out
 
 
 def concat(a: BitVector, b: BitVector) -> BitVector:
     """Concatenate two vectors: result index i < a.n maps to a[i], the rest to b."""
     n = a.n + b.n
-    words = _shift_rows(a.words[None, :], 0, n) | _shift_rows(b.words[None, :], a.n, n)
+    words = _move_rows(a.words[None, :], range(a.n), range(a.n), n)
+    words |= _move_rows(b.words[None, :], range(b.n), range(a.n, n), n)
     return BitVector(n, words[0])
 
 
@@ -287,20 +281,9 @@ def hconcat(*mats: BitMatrix) -> BitMatrix:
 def blkdiag(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Block-diagonal composition [[a, 0], [0, b]]."""
     rows = a.rows + b.rows
-    data = np.concatenate([_shift_rows(a.data, 0, rows), _shift_rows(b.data, a.rows, rows)])
-    return BitMatrix(rows, data)
-
-
-def shift_rows(m: BitMatrix, offset: int, new_rows: int) -> BitMatrix:
-    """m's rows as one block starting at row ``offset`` of a taller matrix; the rest are zero."""
-    return BitMatrix(new_rows, _shift_rows(m.data, offset, new_rows))
-
-
-def embed_rows(m: BitMatrix, positions: Sequence[int], new_rows: int) -> BitMatrix:
-    """Spread m's rows into a taller matrix: row k lands at positions[k], the rest are zero."""
-    if len(positions) != m.rows:
-        raise DimensionError(f"need {m.rows} positions, got {len(positions)}")
-    return BitMatrix(new_rows, _move_rows(m.data, range(m.rows), positions, new_rows))
+    top = _move_rows(a.data, range(a.rows), range(a.rows), rows)
+    bottom = _move_rows(b.data, range(b.rows), range(a.rows, rows), rows)
+    return BitMatrix(rows, np.concatenate([top, bottom]))
 
 
 def select_rows(m: BitMatrix, rows: Sequence[int]) -> BitMatrix:

@@ -1,7 +1,8 @@
 """Command-line front end: reachability runs, intersection benchmarks, enumeration.
 
 Exit codes: 0 success/safe, 1 an UNSAFE step was found, 2 usage or parse
-error, 3 enumeration budget exceeded. LOGICZONO_MAX_FACTORS overrides the
+error, 3 a budget exceeded: the enumeration budget, or the construction cap
+``sets.MAX_COLUMNS`` on one gate. LOGICZONO_MAX_FACTORS overrides the
 default enumeration budget; --max-factors overrides both.
 """
 

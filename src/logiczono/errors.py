@@ -6,7 +6,8 @@ class DimensionError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Point-domain enumeration would exceed the configured budget."""
+    """Point-domain enumeration would exceed the configured budget, or one gate
+    would build more columns than the construction cap ``sets.MAX_COLUMNS``."""
 
 
 class NetParseError(ValueError):

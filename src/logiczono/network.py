@@ -292,14 +292,18 @@ def eval_expr_sets(
         raise ValueError(f"mode must be '{EXACT}' or '{MINKOWSKI}', got {mode!r}")
     if alloc is None:
         raise TypeError("eval_expr_sets needs an id allocator")
+    return _eval_sets(expr, env, mode, alloc, normalize)
 
-    def rec(node):
-        if isinstance(node, Var):
-            if node.name not in env:
-                raise UndeclaredVariable(f"{node.name} is not bound")
-            return env[node.name]
-        if isinstance(node, Not):
-            return negate(rec(node.operand))
-        return normalize(apply_gate(node.op, rec(node.lhs), rec(node.rhs), alloc, mode))
 
-    return rec(expr)
+def _eval_sets(node: Expr, env: dict, mode: str, alloc: IdAllocator, normalize):
+    # a module function, not a closure: a recursive closure is a reference
+    # cycle that would keep env and every set of the step alive until gc runs
+    if isinstance(node, Var):
+        if node.name not in env:
+            raise UndeclaredVariable(f"{node.name} is not bound")
+        return env[node.name]
+    if isinstance(node, Not):
+        return negate(_eval_sets(node.operand, env, mode, alloc, normalize))
+    lhs = _eval_sets(node.lhs, env, mode, alloc, normalize)
+    rhs = _eval_sets(node.rhs, env, mode, alloc, normalize)
+    return normalize(apply_gate(node.op, lhs, rhs, alloc, mode))

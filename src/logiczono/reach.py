@@ -38,9 +38,17 @@ from .sets import (
 CPLZ = ConstrainedPolyLogicalZonotope
 
 REP_LZ = "lz"
-REP_PLZ = "plz"
 REP_CPLZ = "cplz"
-REPS = (REP_LZ, REP_PLZ, REP_CPLZ)
+REPS = (REP_LZ, REP_CPLZ)
+
+
+def _per_step(inputs, steps: int) -> list:
+    """One input map per step: a list gives its first ``steps`` maps, one map is reused."""
+    if isinstance(inputs, list):
+        if len(inputs) < steps:
+            raise ValueError(f"{len(inputs)} input maps given but {steps} steps requested")
+        return inputs[:steps]
+    return [inputs or {}] * steps
 
 
 def _check_bindings(kind, declared, bound, widths):
@@ -75,14 +83,7 @@ class ReachProblem:
             _check_bindings("input", self.net.inputs, step_inputs, self.net.widths)
 
     def inputs_for_steps(self) -> list[dict[str, CPLZ]]:
-        if isinstance(self.inputs, list):
-            if len(self.inputs) < self.steps:
-                raise ValueError(
-                    f"{len(self.inputs)} input maps given but {self.steps} steps requested"
-                )
-            return self.inputs[: self.steps]
-        single = self.inputs or {}
-        return [single] * self.steps
+        return _per_step(self.inputs, self.steps)
 
 
 @dataclass
@@ -136,7 +137,7 @@ def reach(
     each step's fresh input copies) or leaves a gate, so every state set,
     step 0 included, is in the rep's normal form. rep="lz" flattens to
     logical-zonotope form (an overapproximating run, always in minkowski
-    mode); "plz" and "cplz" keep the polynomial constructions exact; a gate
+    mode); "cplz" keeps the polynomial constructions exact; a gate
     over ``sets.MAX_COLUMNS`` fails naming the step and the state. Point
     counts are joint over the stacked state vector and only computed when
     with_sizes is set; the factor budget then applies.
@@ -145,7 +146,9 @@ def reach(
         raise ValueError(f"mode must be '{EXACT}' or '{MINKOWSKI}', got {mode!r}")
     if rep not in REPS:
         raise ValueError(f"rep must be one of {REPS}, got {rep!r}")
-    alloc = alloc or IdAllocator()
+    if alloc is None:  # fresh input and Minkowski ids must not repeat a state's
+        alloc = IdAllocator()
+        alloc.reserve(i for s in problem.init.values() for i in s.id)
     if rep == REP_LZ:
         mode = MINKOWSKI
         normalize = lambda s: lz_flatten(s, alloc)
@@ -247,15 +250,8 @@ def exhaustive_reach(
         n = sum(net.widths[name] for name in names)
         return PointSet.from_bitvectors(stacked, n)
 
-    if isinstance(input_points, list):
-        if len(input_points) < steps:
-            raise ValueError(f"{len(input_points)} input maps given but {steps} steps requested")
-        per_step = input_points[:steps]
-    else:
-        per_step = [input_points or {}] * steps
-
     out = [joint(frontier)]
-    for step_inputs in per_step:
+    for step_inputs in _per_step(input_points, steps):
         input_names = list(step_inputs)
         input_choices = list(
             itertools.product(*[step_inputs[name].bitvectors() for name in input_names])

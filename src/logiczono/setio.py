@@ -78,8 +78,16 @@ def set_from_points(strings: list[str], alloc: IdAllocator) -> CPLZ:
     return encode_points([BitVector.from01(v) for v in strings], alloc)
 
 
+def _reserve_ids(docs, alloc: IdAllocator) -> None:
+    """Move alloc past every explicit id of the documents, so that no fresh id repeats one."""
+    groups = (doc.get("id") for doc in docs if isinstance(doc, dict))
+    alloc.reserve(i for ids in groups if isinstance(ids, list) for i in ids if _is_int(i))
+
+
 def load_set(doc, alloc: IdAllocator) -> CPLZ:
-    """Parse one exchange document or points shorthand; "lz" takes fresh ids from alloc."""
+    """Parse one exchange document or points shorthand; "lz" and points take
+    fresh ids from alloc, which first moves past the document's own ids."""
+    _reserve_ids([doc], alloc)
     if not isinstance(doc, dict):
         raise ValueError(f"a set must be a JSON object, got {type(doc).__name__}")
     if "points" in doc:
@@ -114,6 +122,7 @@ def load_bindings(doc: dict, alloc: IdAllocator) -> dict[str, CPLZ]:
     """A bindings file: JSON object mapping variable names to set documents."""
     if not isinstance(doc, dict):
         raise ValueError("bindings must be a JSON object mapping names to sets")
+    _reserve_ids(doc.values(), alloc)
     return {name: load_set(value, alloc) for name, value in doc.items()}
 
 

@@ -31,16 +31,15 @@ from .bitvec import (
     BitMatrix,
     BitVector,
     Gate,
+    _move_rows,
     blkdiag,
     complement,
     concat,
     elementwise_gate,
-    embed_rows,
     hconcat,
     n_words,
     pad_mask,
     select_rows,
-    shift_rows,
     unpack_rows,
 )
 from .errors import BudgetExceeded, DimensionError
@@ -63,6 +62,10 @@ class IdAllocator:
         first = self._next
         self._next += count
         return list(range(first, first + count))
+
+    def reserve(self, ids) -> None:
+        """Hand out only ids above these (ids chosen elsewhere, e.g. in a document)."""
+        self._next = max([self._next, *(i + 1 for i in ids)])
 
 
 def _check_distinct_ids(ids: Sequence[int]) -> tuple[int, ...]:
@@ -163,20 +166,15 @@ def _align(c1: CPLZ, c2: CPLZ) -> tuple:
     vector in order, in as many words, keeps its own words."""
     known = set(c1.id)
     ids = c1.id + tuple(i for i in c2.id if i not in known)
-    p = len(ids)
-    if p == c1.p + c2.p:  # all of c2's ids are novel: its rows are one block after c1's
-        move2 = lambda m: shift_rows(m, c1.p, p)
-    else:
-        pos = {ident: k for k, ident in enumerate(ids)}
-        positions = [pos[i] for i in c2.id]
-        move2 = lambda m: embed_rows(m, positions, p)
+    p, row = len(ids), {ident: k for k, ident in enumerate(ids)}
 
-    def place(c: CPLZ, move) -> tuple[np.ndarray, np.ndarray]:
+    def place(c: CPLZ) -> tuple[np.ndarray, np.ndarray]:
         if c.id == ids[: c.p] and n_words(c.p) == n_words(p):
             return c.E.data, c.R.data
-        return move(c.E).data, move(c.R).data
+        rows = [row[i] for i in c.id]
+        return _move_rows(c.E.data, range(c.p), rows, p), _move_rows(c.R.data, range(c.p), rows, p)
 
-    return (ids, *place(c1, lambda m: shift_rows(m, 0, p)), *place(c2, move2))
+    return (ids, *place(c1), *place(c2))
 
 
 def merge_id(c1: CPLZ, c2: CPLZ) -> tuple[CPLZ, CPLZ]:
@@ -387,7 +385,7 @@ def drop_inert_ids(c: CPLZ) -> CPLZ:
     used = np.bitwise_or.reduce(c.E.data, axis=0) | np.bitwise_or.reduce(c.R.data, axis=0)
     if np.array_equal(used, pad_mask(c.p)):
         return c
-    live = np.flatnonzero(unpack_rows(used[None, :], c.p)[0])
+    live = np.flatnonzero(unpack_rows(used[None, :], c.p)[0]).tolist()
     return ConstrainedPolyLogicalZonotope(
         c.c, c.G, select_rows(c.E, live), c.A, c.b, select_rows(c.R, live), [c.id[k] for k in live]
     )

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from logiczono import sets
+from logiczono.bitvec import BitVector
 from logiczono.cli import main
 from logiczono.network import parse_network
 from logiczono.points import PointSet
-from logiczono.reach import exhaustive_reach
+from logiczono.reach import ReachProblem, exhaustive_reach, reach
+from logiczono.sets import CPLZ
 
 DATA = resources.files("logiczono") / "data"
 
@@ -35,6 +37,28 @@ def test_reach_identity_singleton(tmp_path, toy_net, capsys):
     assert code == 0
     rows = [l.split() for l in out.splitlines() if l.strip() and l.strip()[0].isdigit()]
     assert [r[2] for r in rows] == ["1", "1", "1"]
+
+
+def test_reach_explicit_ids_do_not_collide_with_fresh_ones(tmp_path, capsys):
+    # A's document names id 1, which B's lz document would otherwise take fresh,
+    # making A ^ B look correlated: the true step-1 count is 4, not 2
+    net = tmp_path / "xor.bn"
+    net.write_text("state A[2], B[2]\nnext A = A ^ B\nnext B = B\n")
+    init = write(tmp_path / "init.json", {
+        "A": {"kind": "cplz", "n": 2, "c": "00", "G": ["10"], "E": ["1"], "id": [1]},
+        "B": {"kind": "lz", "n": 2, "c": "00", "G": ["01"]},
+    })
+    code = main(["reach", "--net", str(net), "--init", init, "--steps", "1", "--enumerate"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[2] == "4"
+
+
+def test_rep_plz_is_not_a_rep(toy_net, capsys):
+    assert main(["reach", "--net", toy_net, "--init", "x.json", "--steps", "1", "--rep", "plz"]) == 2
+    problem = ReachProblem(net=parse_network("state b[1]\nnext b = b\n"),
+                           init={"b": CPLZ.singleton(BitVector.from01("0"))})
+    with pytest.raises(ValueError, match="rep must be one of"):
+        reach(problem, rep="plz")
 
 
 def test_reach_missing_file(tmp_path, toy_net, capsys):

@@ -1,3 +1,6 @@
+import gc
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,8 @@ from logiczono.reach import (
     reach,
 )
 from logiczono.sets import ConstrainedPolyLogicalZonotope as CPLZ
-from logiczono.sets import canonicalize, drop_inert_ids
+from logiczono.sets import IdAllocator, canonicalize, drop_inert_ids
+from logiczono.setio import load_bindings, read_json
 from logiczono.setio import set_from_points as points_set
 from conftest import random_network_setup as _random_network_setup
 from conftest import same_set
@@ -291,3 +295,30 @@ def test_unsafe_budget_error_names_step_and_set(alloc):
     unsafe = SafetySpec("b", points_set(["0", "1"], alloc))
     with pytest.raises(BudgetExceeded, match=r"^step 0 b ∩ unsafe \(h=1, p=2\): "):
         check_unsafe(res, unsafe, alloc, EnumerationBudget(max_factors=1))
+
+
+def test_reach_without_an_allocator_keeps_input_ids_fresh(alloc):
+    # the caller's sets already hold ids 1 and 2; a private allocator must not reuse them
+    net = parse_network("state a[1]\ninput u[1]\nnext a = a ^ u\n")
+    prob = ReachProblem(net=net, init={"a": points_set(["0", "1"], alloc)},
+                        inputs={"u": points_set(["0", "1"], alloc)}, steps=1)
+    assert reach(prob, with_sizes=True).sizes == [2, 2]
+
+
+def test_reach_leaves_no_cyclic_garbage():
+    data = resources.files("logiczono") / "data"
+    net = parse_network((data / "circuit3x10.bn").read_text())
+    alloc = IdAllocator()
+    prob = ReachProblem(
+        net=net,
+        init=load_bindings(read_json(data / "circuit3x10_init.json"), alloc),
+        inputs=load_bindings(read_json(data / "circuit3x10_inputs.json"), alloc),
+        steps=5,
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        reach(prob, alloc=alloc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

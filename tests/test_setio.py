@@ -174,3 +174,20 @@ def test_load_input_bindings_per_step(alloc):
     per_step = load_input_bindings(doc, alloc)
     assert isinstance(per_step, list) and len(per_step) == 2
     assert enumerate_points(per_step[1]["u"]) == PointSet.from_bitstrings(["1"])
+
+
+def test_fresh_ids_skip_explicit_document_ids():
+    # the explicit ids come after the documents that take fresh ones, and still win
+    alloc = IdAllocator()
+    bound = load_bindings({
+        "a": {"kind": "lz", "n": 2, "c": "00", "G": ["10", "01"]},
+        "b": {"points": ["00", "01", "11"]},
+        "c": {"kind": "plz", "n": 1, "c": "0", "G": ["1"], "E": ["10"], "id": [1, 3]},
+        "d": {"kind": "cplz", "n": 1, "c": "0", "G": ["1"], "E": ["1"], "id": [2]},
+    }, alloc)
+    ids = [i for s in bound.values() for i in s.id]
+    assert len(ids) == 7 and len(set(ids)) == 7
+    assert min(alloc.fresh(1)) > max(ids)
+    single = IdAllocator()
+    load_set({"kind": "cplz", "n": 1, "c": "0", "G": ["1"], "E": ["1"], "id": [5]}, single)
+    assert single.fresh(1) == [6]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logiczono.bitvec import BitMatrix, BitVector, Gate, embed_rows
+from logiczono.bitvec import BitMatrix, BitVector, Gate, _move_rows
 from logiczono.errors import DimensionError
 from logiczono.points import PointSet, enumerate_points
 from logiczono.sets import (
@@ -86,6 +86,70 @@ def test_merge_id_overlapping_order_and_points():
     assert list(x2.id) == [1, 3, 2]
     assert set(enumerate_points(x2).to_bitstrings()) == naive_enumerate(x)
     assert set(enumerate_points(y2).to_bitstrings()) == naive_enumerate(y)
+
+
+ID_RELATIONS = ("identical", "permuted", "prefix", "disjoint", "partial", "c1_leads")
+
+
+def _related_ids(rng, alloc, id1, relation):
+    """c2's ids in the given relation to c1's."""
+    pick = lambda ids: [ids[k] for k in rng.permutation(len(ids))]
+    if relation == "identical":
+        return list(id1)
+    if relation == "permuted":
+        return pick(id1)
+    if relation == "prefix":
+        return id1[: int(rng.integers(0, len(id1) + 1))]
+    if relation == "disjoint":
+        return alloc.fresh(int(rng.choice([0, 1, 63, 64, 65, 100])))
+    if relation == "partial":
+        return pick(pick(id1)[: int(rng.integers(0, len(id1) + 1))] + alloc.fresh(int(rng.integers(1, 40))))
+    # c1's ids lead c2's, which add enough to pass the next word boundary
+    return list(id1) + alloc.fresh(64 * (len(id1) // 64 + 1) - len(id1) + int(rng.integers(1, 4)))
+
+
+def _operand_over(rng, ids, constrained):
+    p, h = len(ids), int(rng.integers(0, 4))
+    bits = lambda *shape: rng.integers(0, 2, size=shape).astype(bool)
+    c, G, E = BitVector.from_bits(bits(3)), BitMatrix.from_bool(bits(3, h)), BitMatrix.from_bool(bits(p, h))
+    if not constrained:
+        return CPLZ.unconstrained(c, G, E, ids)
+    q = int(rng.integers(1, 3))
+    return CPLZ(c, G, E, BitMatrix.from_bool(bits(1, q)), BitVector.from_bits(bits(1)), BitMatrix.from_bool(bits(p, q)), ids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p1=st.sampled_from([0, 1, 63, 64, 65, 100]),
+    relation=st.sampled_from(ID_RELATIONS),
+    constrained=st.booleans(),
+)
+def test_merge_id_and_stack_place_rows_by_id_across_words(seed, p1, relation, constrained):
+    rng = np.random.default_rng(seed)
+    alloc = IdAllocator()
+    id1 = alloc.fresh(p1)
+    x = _operand_over(rng, id1, constrained)
+    y = _operand_over(rng, _related_ids(rng, alloc, id1, relation), constrained)
+    x2, y2 = merge_id(x, y)
+    joint = stack(x, y)
+    ids = x.id + tuple(i for i in y.id if i not in x.id)
+    assert x2.id == y2.id == joint.id == ids
+
+    def placed(z, m):
+        # bool reference keyed by id: z's row of each id at that id's merged row, foreign rows zero
+        by_id = dict(zip(z.id, m.to_bool()))
+        ref = np.zeros((len(ids), m.cols), dtype=bool)
+        for k, ident in enumerate(ids):
+            if ident in by_id:
+                ref[k] = by_id[ident]
+        return BitMatrix.from_bool(ref)
+
+    for z, z2 in ((x, x2), (y, y2)):
+        assert (z2.c, z2.G, z2.A, z2.b) == (z.c, z.G, z.A, z.b)
+        assert z2.E == placed(z, z.E) and z2.R == placed(z, z.R)
+    both = lambda f: np.concatenate([placed(x, getattr(x, f)).data, placed(y, getattr(y, f)).data])
+    assert np.array_equal(joint.E.data, both("E")) and np.array_equal(joint.R.data, both("R"))
 
 
 # --- minkowski operations -----------------------------------------------------
@@ -473,10 +537,8 @@ def test_canonicalize_preserves_points(rng, alloc):
 def spread_factors(rng, z, alloc, p_total):
     """z with its factor rows scattered over p_total rows; the other rows are inert."""
     positions = [int(k) for k in rng.permutation(p_total)[: z.p]]
-    return CPLZ(
-        z.c, z.G, embed_rows(z.E, positions, p_total), z.A, z.b, embed_rows(z.R, positions, p_total),
-        alloc.fresh(p_total),
-    )
+    spread = lambda m: BitMatrix(p_total, _move_rows(m.data, range(z.p), positions, p_total))
+    return CPLZ(z.c, z.G, spread(z.E), z.A, z.b, spread(z.R), alloc.fresh(p_total))
 
 
 @settings(max_examples=150, deadline=None)
