@@ -186,6 +186,30 @@ def _move_rows(words: np.ndarray, src: Sequence[int], dst: Sequence[int], nbits:
     return out
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Distinct packed rows in ``np.unique(rows, axis=0)`` order (word 0 is the
+    primary key): sorts the words and keeps each row unequal to its predecessor.
+
+    One-word rows are sorted in place, so callers pass an array they own:
+    ``PointSet`` its masked copy, ``issubset`` a concatenation,
+    ``enumerate_points`` its sweep block, ``lz_flatten`` a copy of G."""
+    if rows.shape[0] == 0 or rows.shape[1] == 0:
+        return rows[:1] if rows.shape[1] == 0 and rows.shape[0] else rows.copy()
+    one_word = rows.shape[1] == 1
+    if one_word:
+        s = rows[:, 0]
+        s.sort()
+    else:
+        s = rows[np.lexsort(rows.T[::-1])]
+    keep = np.empty(s.shape[0], dtype=bool)
+    keep[0] = True
+    if one_word:
+        np.not_equal(s[1:], s[:-1], out=keep[1:])
+        return s[keep].reshape(-1, 1)
+    np.any(s[1:] != s[:-1], axis=1, out=keep[1:])
+    return s[keep]
+
+
 def concat(a: BitVector, b: BitVector) -> BitVector:
     """Concatenate two vectors: result index i < a.n maps to a[i], the rest to b."""
     n = a.n + b.n

@@ -33,7 +33,11 @@ def _budget_from(args) -> EnumerationBudget:
         return EnumerationBudget(max_factors=args.max_factors)
     env = os.environ.get("LOGICZONO_MAX_FACTORS")
     if env:
-        return EnumerationBudget(max_factors=int(env))
+        try:
+            max_factors = int(env)
+        except ValueError:
+            raise ValueError(f"LOGICZONO_MAX_FACTORS must be an integer, got {env!r}") from None
+        return EnumerationBudget(max_factors=max_factors)
     return EnumerationBudget(max_factors=DEFAULT_MAX_FACTORS)
 
 

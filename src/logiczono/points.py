@@ -10,8 +10,9 @@ is 2^p, so it is guarded by an EnumerationBudget; unconstrained sets
 whose monomials all have degree at most one (logical zonotopes among
 them) are affine subspaces over GF(2) and are counted or materialized
 through a basis instead of a sweep, whatever their factor count.
-Enumeration dedupes by sorting the packed words of the swept points and
-keeping each row that differs from its predecessor.
+Enumeration dedupes by sorting the packed words of the swept points in
+place (``bitvec._unique_rows``) and keeping each row that differs from
+its predecessor.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .bitvec import GATE_WORDS, BitMatrix, BitVector, Gate, n_words, pad_mask
+from .bitvec import GATE_WORDS, BitMatrix, BitVector, Gate, _unique_rows, n_words, pad_mask
 from .errors import BudgetExceeded, DimensionError
 from .sets import CPLZ, IdAllocator, canonicalize, drop_inert_ids
 
@@ -30,25 +31,6 @@ DEFAULT_MAX_FACTORS = 24
 DEFAULT_MAX_POINTS = 2_000_000
 
 _CHUNK_BITS = 20  # sweep in chunks of 2^20 assignments to bound memory
-
-
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Distinct rows sorted numerically, word 0 as the primary key.
-
-    Sorts the packed words and keeps each row that differs from its
-    predecessor; one-word rows are sorted and compared as 1-D keys.
-    """
-    if rows.shape[0] == 0 or rows.shape[1] == 0:
-        return rows[:1] if rows.shape[1] == 0 and rows.shape[0] else rows.copy()
-    one_word = rows.shape[1] == 1
-    s = np.sort(rows[:, 0]) if one_word else rows[np.lexsort(rows.T[::-1])]
-    keep = np.empty(s.shape[0], dtype=bool)
-    keep[0] = True
-    if one_word:
-        np.not_equal(s[1:], s[:-1], out=keep[1:])
-        return s[keep].reshape(-1, 1)
-    np.any(s[1:] != s[:-1], axis=1, out=keep[1:])
-    return s[keep]
 
 
 @dataclass(frozen=True)

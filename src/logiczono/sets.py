@@ -32,6 +32,7 @@ from .bitvec import (
     BitVector,
     Gate,
     _move_rows,
+    _unique_rows,
     blkdiag,
     complement,
     concat,
@@ -201,12 +202,16 @@ def _require_same_dim(c1, c2) -> None:
 
 
 def _product(op, x1, x2, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """The word rows [x1 op m2 | x2 op m1 | every m1[i] op m2[j], i-major], built in place."""
-    h1, h2 = m1.shape[0], m2.shape[0]
-    out = np.empty((h2 + h1 + h1 * h2, m1.shape[1]), dtype=np.uint64)
-    op(x1, m2, out=out[:h2])
-    op(x2, m1, out=out[h2 : h2 + h1])
-    op(m1[:, None, :], m2[None, :, :], out=out[h2 + h1 :].reshape(h1, h2, m1.shape[1]))
+    """The word rows [x2 op m1 | for each row j of m2: x1 op m2[j], then every
+    m1[i] op m2[j]], built in place. This j-major layout puts exponent
+    columns in canonical order when both operands are canonical and m2's
+    factors all sit above m1's (operand 2's ids new to operand 1)."""
+    h1, h2, w = m1.shape[0], m2.shape[0], m1.shape[1]
+    out = np.empty((h1 + h2 * (h1 + 1), w), dtype=np.uint64)
+    op(x2, m1, out=out[:h1])
+    blocks = out[h1:].reshape(h2, h1 + 1, w)
+    op(x1, m2, out=blocks[:, 0])
+    op(m2[:, None, :], m1[None, :, :], out=blocks[:, 1:])
     return out
 
 
@@ -227,8 +232,9 @@ def negate(c: CPLZ) -> CPLZ:
 
 def _gate(c1: CPLZ, c2: CPLZ, core: Gate, flip1=False, flip2=False, flip_out=False) -> CPLZ:
     """The exact XOR or AND core with the chosen centers complemented, which is
-    its composition with ``negate``. AND generators: [x1*G2 | x2*G1 | all
-    pairwise products] for the input centers x; pair columns take the OR of
+    its composition with ``negate``. AND generators: x2*G1, then per column
+    j of G2 x1*G2[j] and its products with every column of G1 (see
+    ``_product``), for the input centers x; product columns take the OR of
     the exponent columns, since alpha^a AND alpha^b == alpha^(a OR b)."""
     _require_same_dim(c1, c2)
     ids, E1, R1, E2, R2 = _align(c1, c2)
@@ -321,29 +327,33 @@ def canonicalize(c: CPLZ) -> CPLZ:
     step of sparse polynomial zonotopes, Kochdumper & Althoff 2021). The
     all-zero exponent column is the constant monomial 1 and folds into the
     center; zero payloads drop. The result has pairwise-distinct nonzero
-    exponent columns, ordered by their packed words, so a second call
-    returns it unchanged. Constraints and ids are untouched; never applied
-    implicitly.
+    exponent columns, increasing as packed integers (last word most
+    significant), so a second call returns it unchanged. One-word exponent
+    columns (1 <= p <= 64) already in that order, as gates emit them when
+    operand 2's ids are new to operand 1, skip the sort and the merge.
+    Constraints and ids are untouched; never applied implicitly.
     """
     if c.h == 0:
         return c
-    words = c.E.data
-    # lexsort is stable: columns with one key keep their order
-    order = np.lexsort(words.T) if words.shape[1] else np.arange(c.h)
-    keys = words[order]
-    payloads = c.G.data[order]
-    differs = (keys[1:] != keys[:-1]).any(axis=1)
-    if not differs.all():
-        first = np.flatnonzero(np.concatenate([[True], differs]))
-        payloads = np.bitwise_xor.reduceat(payloads, first, axis=0)
-        keys = keys[first]
-    const = ~keys.any(axis=1)
+    keys, payloads = c.E.data, c.G.data
+    if not (keys.shape[1] == 1 and (keys[1:, 0] > keys[:-1, 0]).all()):
+        # lexsort is stable: columns with one key keep their order
+        order = np.lexsort(keys.T) if keys.shape[1] else np.arange(c.h)
+        keys, payloads = np.take(keys, order, axis=0), np.take(payloads, order, axis=0)
+        differs = (keys[1:] != keys[:-1]).any(axis=1)
+        if not differs.all():
+            first = np.flatnonzero(np.concatenate([[True], differs]))
+            payloads = np.bitwise_xor.reduceat(payloads, first, axis=0)
+            keys = np.take(keys, first, axis=0)
     center = c.c
-    if const.any():
-        center = BitVector(c.n, c.c.words ^ np.bitwise_xor.reduce(payloads[const], axis=0))
-    keep = ~const & payloads.any(axis=1)
+    if not keys[0].any():  # the constant monomial sorts first
+        center = BitVector(c.n, c.c.words ^ payloads[0])
+        keys, payloads = keys[1:], payloads[1:]
+    keep = payloads.any(axis=1)
     if not keep.all():
-        payloads, keys = payloads[keep], keys[keep]
+        payloads, keys = np.compress(keep, payloads, axis=0), np.compress(keep, keys, axis=0)
+    if payloads is c.G.data:  # already in normal form
+        return c
     return CPLZ(center, BitMatrix(c.n, payloads), BitMatrix(c.p, keys), c.A, c.b, c.R, c.id)
 
 
@@ -368,7 +378,7 @@ def lz_flatten(c: CPLZ, alloc: IdAllocator) -> CPLZ:
     if c.m or c.q:
         raise ValueError("cannot flatten a constrained set to logical-zonotope form")
     d = canonicalize(c)
-    return CPLZ.lz(d.c, BitMatrix(d.n, np.unique(d.G.data, axis=0)), alloc)
+    return CPLZ.lz(d.c, BitMatrix(d.n, _unique_rows(d.G.data.copy())), alloc)
 
 
 def refresh_ids(c: CPLZ, alloc: IdAllocator) -> CPLZ:

@@ -7,6 +7,7 @@ from logiczono.bitvec import (
     BitVector,
     Gate,
     _move_rows,
+    _unique_rows,
     blkdiag,
     complement,
     concat,
@@ -170,6 +171,16 @@ def test_move_rows_scatters_rows():
     m = BitMatrix.from_bool(np.array([[1, 0], [1, 1]], dtype=bool))
     out = BitMatrix(3, _move_rows(m.data, range(2), [2, 0], 3))
     assert np.array_equal(out.to_bool(), np.array([[1, 1], [0, 0], [1, 0]], dtype=bool))
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 130])
+def test_unique_rows_matches_np_unique(n):
+    # the payload dedupe of lz_flatten: same rows, same order as np.unique
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        distinct = BitMatrix.from_bool(rng.random((n, int(rng.integers(1, 8)))) < 0.5).data
+        rows = distinct[rng.integers(0, distinct.shape[0], size=int(rng.integers(0, 40)))]
+        assert np.array_equal(_unique_rows(rows.copy()), np.unique(rows, axis=0))
 
 
 # row counts on both sides of the word boundaries

@@ -275,6 +275,13 @@ def test_enumerate_env_budget(tmp_path, capsys, monkeypatch):
     assert main(["enumerate", "--set", p]) == 0
 
 
+def test_env_budget_must_be_an_integer(tmp_path, toy_net, capsys, monkeypatch):
+    init = write(tmp_path / "init.json", {"b": {"points": ["0"]}})
+    monkeypatch.setenv("LOGICZONO_MAX_FACTORS", "abc")
+    assert main(["reach", "--net", toy_net, "--init", init, "--steps", "1", "--enumerate"]) == 2
+    assert "LOGICZONO_MAX_FACTORS must be an integer, got 'abc'" in capsys.readouterr().err
+
+
 def test_intersect_random_trials(tmp_path, capsys):
     report = tmp_path / "bench.json"
     code = main([

@@ -204,6 +204,18 @@ def test_unique_rows_order_is_numeric_word0_first(w):
         assert _unique_rows(np.zeros((k, 0), dtype=np.uint64)).shape == (min(k, 1), 0)
 
 
+@pytest.mark.parametrize("n", [10, 70])
+def test_pointset_leaves_caller_rows_unchanged(n):
+    # _unique_rows sorts in place; PointSet hands it a masked copy
+    rng = np.random.default_rng(n)
+    arr = rng.integers(0, 2**64, size=(50, (n + 63) // 64), dtype=np.uint64)
+    arr = np.concatenate([arr, arr[::3]])
+    before = arr.copy()
+    ps = PointSet(n, arr)
+    assert np.array_equal(arr, before)
+    assert ps.issubset(ps) and np.array_equal(arr, before)
+
+
 def test_union_subset():
     a = set01(["00", "01"])
     b = set01(["01", "11"])

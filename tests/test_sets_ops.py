@@ -601,3 +601,65 @@ def test_soundness_with_constraints(rng, alloc):
         assert got == naive_gate("xor", p1, p2)
         got = set(enumerate_points(negate(c1)).to_bitstrings())
         assert got == naive_not(p1)
+
+
+def as_int(v: BitVector) -> int:
+    """Bit k of the vector as bit k of an int: the order canonicalize sorts by."""
+    return sum(1 << k for k, bit in enumerate(v.bits()) if bit)
+
+
+def reference_canonical(z):
+    """(center, [(exponent, payload)] by increasing exponent) from a dict of
+    monomials over plain ints."""
+    terms: dict[int, int] = {}
+    for e, g in zip(z.E.columns(), z.G.columns()):
+        terms[as_int(e)] = terms.get(as_int(e), 0) ^ as_int(g)
+    center = as_int(z.c) ^ terms.pop(0, 0)
+    return center, sorted((e, g) for e, g in terms.items() if g)
+
+
+def monomial_input(rng, alloc, n, p, shape):
+    """An unconstrained set whose exponent columns have the given shape."""
+    h = 0 if shape == "empty" else int(rng.integers(1, 12))
+    pool = rng.random((int(rng.integers(1, 5)), p)) < 0.3  # few monomials, so keys repeat
+    E = pool[rng.integers(0, pool.shape[0], size=h)].T
+    G = rng.integers(0, 2, size=(n, h)).astype(bool)
+    if shape == "all_constant":
+        E[:] = False
+    elif shape in ("ordered", "leading_constant"):
+        keys = sorted({as_int(BitVector.from_bits(col)) for col in E.T} - {0})
+        if shape == "leading_constant":
+            keys = [0] + keys
+        E = np.array([[(k >> f) & 1 for k in keys] for f in range(p)], dtype=bool).reshape(p, len(keys))
+        G = rng.integers(0, 2, size=(n, len(keys))).astype(bool)
+        G[:, rng.random(len(keys)) < 0.3] = False  # zero payloads between ordered columns
+    c = BitVector.from_bits(rng.integers(0, 2, size=n))
+    return CPLZ.unconstrained(c, BitMatrix.from_bool(G), BitMatrix.from_bool(E), alloc.fresh(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 3, 65]),
+    p=st.sampled_from([0, 1, 63, 64, 65]),
+    shape=st.sampled_from(["random", "ordered", "leading_constant", "all_constant", "empty"]),
+)
+def test_canonicalize_matches_monomial_dict(seed, n, p, shape):
+    z = monomial_input(np.random.default_rng(seed), IdAllocator(), n, p, shape)
+    out = canonicalize(z)
+    center, terms = reference_canonical(z)
+    assert as_int(out.c) == center
+    assert [(as_int(e), as_int(g)) for e, g in zip(out.E.columns(), out.G.columns())] == terms
+    assert (out.A, out.b, out.R, out.id) == (z.A, z.b, z.R, z.id)
+
+
+@pytest.mark.parametrize("p_big", [4, 70])
+def test_gates_on_fresh_operand_emit_increasing_keys(rng, alloc, p_big):
+    # operand 2's ids are new to operand 1, so _align puts them above operand 1's
+    for _ in range(20):
+        big = canonicalize(spread_factors(rng, random_cplz(rng, alloc, n=3, h_max=8, p_max=4), alloc, p_big))
+        fresh = canonicalize(random_lz(rng, alloc, 3, 1))
+        for c1, c2 in ((big, fresh), (fresh, big)):
+            for gate in (exact_and, exact_xor):
+                keys = [as_int(e) for e in gate(c1, c2).E.columns()]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
