@@ -210,14 +210,6 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
-def concat(a: BitVector, b: BitVector) -> BitVector:
-    """Concatenate two vectors: result index i < a.n maps to a[i], the rest to b."""
-    n = a.n + b.n
-    words = _move_rows(a.words[None, :], range(a.n), range(a.n), n)
-    words |= _move_rows(b.words[None, :], range(b.n), range(a.n, n), n)
-    return BitVector(n, words[0])
-
-
 class BitMatrix:
     """Matrix over {0, 1} stored column-major: one packed payload per column.
 
@@ -302,12 +294,23 @@ def hconcat(*mats: BitMatrix) -> BitMatrix:
     return BitMatrix(rows, np.concatenate([m.data for m in mats], axis=0))
 
 
-def blkdiag(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Block-diagonal composition [[a, 0], [0, b]]."""
-    rows = a.rows + b.rows
-    top = _move_rows(a.data, range(a.rows), range(a.rows), rows)
-    bottom = _move_rows(b.data, range(b.rows), range(a.rows, rows), rows)
-    return BitMatrix(rows, np.concatenate([top, bottom]))
+def blkdiag(*mats: BitMatrix) -> BitMatrix:
+    """Block-diagonal composition [[a, 0, ...], [0, b, ...], ...] of one or more matrices."""
+    rows, off, blocks = sum(m.rows for m in mats), 0, []
+    for m in mats:
+        blocks.append(_move_rows(m.data, range(m.rows), range(off, off + m.rows), rows))
+        off += m.rows
+    return BitMatrix(rows, np.concatenate(blocks))
+
+
+def concat(*vecs: BitVector) -> BitVector:
+    """Concatenate vectors: each one's bits follow those of the ones before it."""
+    n, off = sum(v.n for v in vecs), 0
+    words = np.zeros(n_words(n), dtype=np.uint64)
+    for v in vecs:
+        words |= _move_rows(v.words[None, :], range(v.n), range(off, off + v.n), n)[0]
+        off += v.n
+    return BitVector(n, words)
 
 
 def select_rows(m: BitMatrix, rows: Sequence[int]) -> BitMatrix:

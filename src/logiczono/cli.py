@@ -21,7 +21,7 @@ from .bitvec import BitMatrix, BitVector
 from .errors import BudgetExceeded, NetParseError
 from .network import parse_network
 from .points import DEFAULT_MAX_FACTORS, EnumerationBudget, enumerate_points
-from .reach import REP_CPLZ, REPS, ReachProblem, SafetySpec, check_unsafe, joint_size, reach
+from .reach import REP_CPLZ, REPS, ReachProblem, SafetySpec, check_unsafe, reach
 from .sets import EXACT, MINKOWSKI, CPLZ, IdAllocator, intersect, intersect_overapprox_lz, mink_and
 from . import setio
 
@@ -113,7 +113,7 @@ def cmd_reach(args) -> int:
     checking = safety is not None
     unsafe_at: list[BitVector | None] = [None] * n_steps
     if checking:
-        for v in check_unsafe(result, safety, alloc, budget):
+        for v in check_unsafe(result, safety, alloc):
             unsafe_at[v.step] = v.witness
 
     header = f"{'step':>4}  {'time_ms':>9}  {'size':>10}" + ("  verdict" if checking else "")
@@ -121,7 +121,7 @@ def cmd_reach(args) -> int:
     rows = []
     for k in range(1, n_steps):
         # counted row by row, so a budget failure at step k keeps rows 1..k-1
-        size = joint_size(result, k, budget) if args.enumerate else None
+        size = result.size(k) if args.enumerate else None
         size_txt = str(size) if size is not None else "not enumerated"
         row = {"step": k, "time_ms": round(times[k] * 1e3, 3), "size": size}
         line = f"{k:>4}  {times[k] * 1e3:>9.3f}  {size_txt:>10}"
@@ -145,7 +145,7 @@ def cmd_reach(args) -> int:
             "net": args.net,
             "steps": args.steps,
             "rep": args.rep,
-            "mode": args.mode,
+            "mode": result.mode,
             "per_step": rows,
         }
         if checking:
@@ -187,6 +187,8 @@ def _intersection_routes(l1: CPLZ, l2: CPLZ, alloc: IdAllocator, budget):
 
 
 def cmd_intersect(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     alloc = IdAllocator()
     budget = _budget_from(args)
     records = []

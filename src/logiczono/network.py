@@ -276,8 +276,8 @@ def eval_expr_point(expr: Expr, env: dict[str, BitVector]) -> BitVector:
 def eval_expr_sets(
     expr: Expr,
     env: dict,
-    mode: str = EXACT,
-    alloc: IdAllocator | None = None,
+    mode: str,
+    alloc: IdAllocator,
     normalize=lambda s: s,
 ):
     """Bottom-up evaluation over constrained polynomial logical zonotopes.
@@ -290,8 +290,6 @@ def eval_expr_sets(
     """
     if mode not in (EXACT, MINKOWSKI):
         raise ValueError(f"mode must be '{EXACT}' or '{MINKOWSKI}', got {mode!r}")
-    if alloc is None:
-        raise TypeError("eval_expr_sets needs an id allocator")
     return _eval_sets(expr, env, mode, alloc, normalize)
 
 

@@ -6,10 +6,12 @@ set operations for equivalence testing; encodes a point list back into
 one exact set with the same transform. One sweep generator yields the
 points block by block: enumeration dedupes after each block, and a
 witness is the first point of the first non-empty block. The sweep cost
-is 2^p, so it is guarded by an EnumerationBudget; unconstrained sets
-whose monomials all have degree at most one (logical zonotopes among
-them) are affine subspaces over GF(2) and are counted or materialized
-through a basis instead of a sweep, whatever their factor count.
+is 2^p over the live factors (inert ones are dropped first), so that p
+is guarded by an EnumerationBudget, and an enumeration emits at most
+MAX_POINTS points. Unconstrained sets whose monomials all have degree at
+most one (logical zonotopes among them) are affine subspaces over GF(2)
+and are counted or materialized through a basis instead of a sweep,
+whatever their factor count.
 Enumeration dedupes by sorting the packed words of the swept points in
 place (``bitvec._unique_rows``) and keeping each row that differs from
 its predecessor.
@@ -28,21 +30,20 @@ from .errors import BudgetExceeded, DimensionError
 from .sets import CPLZ, IdAllocator, canonicalize, drop_inert_ids
 
 DEFAULT_MAX_FACTORS = 24
-DEFAULT_MAX_POINTS = 2_000_000
+MAX_POINTS = 2_000_000  # cap on the points one enumeration emits
 
 _CHUNK_BITS = 20  # sweep in chunks of 2^20 assignments to bound memory
 
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Caps on the enumeration sweep: factor count and emitted set size."""
+    """Cap on the enumeration sweep: the factors it sweeps, inert ones left out."""
 
     max_factors: int = DEFAULT_MAX_FACTORS
-    max_points: int = DEFAULT_MAX_POINTS
 
     def __post_init__(self):
-        if self.max_factors <= 0 or self.max_points <= 0:
-            raise ValueError("budget caps must be positive")
+        if self.max_factors <= 0:
+            raise ValueError("max_factors must be positive")
         if self.max_factors > 63:
             raise ValueError("at most 63 factors are supported per sweep")
 
@@ -228,15 +229,20 @@ def _empty_by_constraints(c: CPLZ) -> bool:
     return c.q == 0 and c.m > 0 and bool(c.b.words.any())
 
 
-def _sweep(c: CPLZ):
+def _sweep(c: CPLZ, budget: EnumerationBudget):
     """Yield the points of the admissible assignments, one block of at most
     2^_CHUNK_BITS assignments at a time; points may repeat across blocks.
 
-    Inert factor rows are compacted away first. Within the factor budget
-    (at most 63 factors) each packed column of E and R is one word, which
-    is the column's factor mask.
+    Inert factor rows are compacted away first, and only the factors left
+    count against the budget. Within the budget (at most 63 factors) each
+    packed column of E and R is one word, which is the column's factor mask.
     """
     d = drop_inert_ids(c)
+    if d.p > budget.max_factors:
+        raise BudgetExceeded(
+            f"{d.p} factors exceed the enumeration cap of {budget.max_factors};"
+            " raise max_factors if the sweep is really wanted"
+        )
     emasks = np.bitwise_or.reduce(d.E.data, axis=1)  # the one word, or 0 when no factor is left
     rmasks = np.bitwise_or.reduce(d.R.data, axis=1)
     chunk = 1 << min(_CHUNK_BITS, d.p)
@@ -247,14 +253,6 @@ def _sweep(c: CPLZ):
         )
         if cnt:
             yield out[:cnt]
-
-
-def _check_factor_budget(c: CPLZ, budget: EnumerationBudget) -> None:
-    if c.p > budget.max_factors:
-        raise BudgetExceeded(
-            f"{c.p} factors exceed the enumeration cap of {budget.max_factors};"
-            " raise max_factors if the sweep is really wanted"
-        )
 
 
 def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointSet:
@@ -272,21 +270,19 @@ def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointS
     span = _span_form(c)
     if span is not None:
         offset, basis = span
-        if 1 << len(basis) > budget.max_points:
-            raise BudgetExceeded(
-                f"affine set has 2^{len(basis)} points, over the cap of {budget.max_points}"
-            )
+        if 1 << len(basis) > MAX_POINTS:
+            msg = f"affine set has 2^{len(basis)} points"
+            raise BudgetExceeded(f"{msg}, over the cap of {MAX_POINTS}")
         pts = offset[None, :]
         for vec in basis:
             pts = np.concatenate([pts, pts ^ vec[None, :]])
         return PointSet(c.n, pts)
-    _check_factor_budget(c, budget)
     rows = np.zeros((0, n_words(c.n)), dtype=np.uint64)
-    for block in _sweep(c):
+    for block in _sweep(c, budget):
         # the first block is deduped without a copy: it is a sweep's largest array
         rows = _unique_rows(np.concatenate([rows, block]) if rows.shape[0] else block)
-        if rows.shape[0] > budget.max_points:
-            raise BudgetExceeded(f"point set exceeds the cap of {budget.max_points}")
+        if rows.shape[0] > MAX_POINTS:
+            raise BudgetExceeded(f"point set exceeds the cap of {MAX_POINTS}")
     return PointSet._of_unique(c.n, rows)  # swept points are masked like c and G
 
 
@@ -310,8 +306,7 @@ def witness_point(c: CPLZ, budget: EnumerationBudget | None = None) -> BitVector
     span = _span_form(c)
     if span is not None:
         return BitVector(c.n, span[0])
-    _check_factor_budget(c, budget)
-    for block in _sweep(c):
+    for block in _sweep(c, budget):
         return BitVector(c.n, block[0])
     return None
 

@@ -51,7 +51,7 @@ def _per_step(inputs, steps: int) -> list:
     return [inputs or {}] * steps
 
 
-def _check_bindings(kind, declared, bound, widths):
+def _check_bindings(kind, declared, bound):
     missing = [name for name, _ in declared if name not in bound]
     if missing:
         raise ValueError(f"missing {kind} set(s): {', '.join(missing)}")
@@ -77,10 +77,9 @@ class ReachProblem:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
-        _check_bindings("initial", self.net.states, self.init, self.net.widths)
-        per_step = self.inputs_for_steps()
-        for step_inputs in per_step:
-            _check_bindings("input", self.net.inputs, step_inputs, self.net.widths)
+        _check_bindings("initial", self.net.states, self.init)
+        for step_inputs in self.inputs_for_steps():
+            _check_bindings("input", self.net.inputs, step_inputs)
 
     def inputs_for_steps(self) -> list[dict[str, CPLZ]]:
         return _per_step(self.inputs, self.steps)
@@ -103,24 +102,26 @@ class StepVerdict:
 
 @dataclass
 class ReachResult:
-    """Per-step state sets plus the joint point count and wall time per step.
+    """Per-step state sets and wall times of one run, with the mode it ran in
+    and the enumeration budget its counts use (None: the default budget).
 
-    sizes[k] is None when point counts were not requested. Step 0 holds
-    the initial sets in the rep's normal form.
+    Step 0 holds the initial sets in the rep's normal form.
     """
 
     state_names: list[str]
+    mode: str
+    budget: EnumerationBudget | None = None
     steps: list[dict[str, CPLZ]] = field(default_factory=list)
-    sizes: list[int | None] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
 
     def joint(self, k: int) -> CPLZ:
         """The step-k state vector stacked in declaration order."""
-        sets = self.steps[k]
-        acc = sets[self.state_names[0]]
-        for name in self.state_names[1:]:
-            acc = stack(acc, sets[name])
-        return acc
+        return stack(*(self.steps[k][name] for name in self.state_names))
+
+    def size(self, k: int) -> int:
+        """Point count of the step-k joint set under the run's budget; a
+        budget failure names the step."""
+        return _budgeted(count_points, self.joint(k), self.budget, f"step {k} joint state set")
 
 
 def reach(
@@ -129,7 +130,6 @@ def reach(
     alloc: IdAllocator | None = None,
     budget: EnumerationBudget | None = None,
     rep: str = REP_CPLZ,
-    with_sizes: bool = False,
 ) -> ReachResult:
     """Iterate the network per the synchronous semantics for problem.steps steps.
 
@@ -137,10 +137,11 @@ def reach(
     each step's fresh input copies) or leaves a gate, so every state set,
     step 0 included, is in the rep's normal form. rep="lz" flattens to
     logical-zonotope form (an overapproximating run, always in minkowski
-    mode); "cplz" keeps the polynomial constructions exact; a gate
-    over ``sets.MAX_COLUMNS`` fails naming the step and the state. Point
-    counts are joint over the stacked state vector and only computed when
-    with_sizes is set; the factor budget then applies.
+    mode, which the result records); "cplz" keeps the polynomial
+    constructions exact; a gate over ``sets.MAX_COLUMNS`` fails naming the
+    step and the state. Nothing is enumerated here: the result keeps
+    ``budget`` for its joint counts (``ReachResult.size``) and for
+    ``check_unsafe``.
     """
     if mode not in (EXACT, MINKOWSKI):
         raise ValueError(f"mode must be '{EXACT}' or '{MINKOWSKI}', got {mode!r}")
@@ -157,10 +158,9 @@ def reach(
         normalize = lambda s: drop_inert_ids(canonicalize(s))
 
     env = {name: normalize(s) for name, s in problem.init.items()}
-    result = ReachResult(state_names=problem.net.state_names)
+    result = ReachResult(state_names=problem.net.state_names, mode=mode, budget=budget)
     result.steps.append(env)
     result.times.append(0.0)
-    result.sizes.append(None)
 
     for k, step_inputs in enumerate(problem.inputs_for_steps(), start=1):
         t0 = time.perf_counter()
@@ -175,16 +175,7 @@ def reach(
                 raise BudgetExceeded(f"step {k} update of {name}: {exc}") from exc
         result.steps.append(env)
         result.times.append(time.perf_counter() - t0)
-        result.sizes.append(None)
-
-    if with_sizes:
-        result.sizes = [joint_size(result, k, budget) for k in range(len(result.steps))]
     return result
-
-
-def joint_size(result: ReachResult, k: int, budget: EnumerationBudget | None = None) -> int:
-    """Point count of the step-k joint state set; a budget failure names the step."""
-    return _budgeted(count_points, result.joint(k), budget, f"step {k} joint state set")
 
 
 def _budgeted(fn, s: CPLZ, budget: EnumerationBudget | None, what: str):
@@ -202,12 +193,14 @@ def check_unsafe(
     budget: EnumerationBudget | None = None,
 ) -> list[StepVerdict]:
     """Per-step verdicts: SAFE iff the exact intersection with the unsafe set
-    is empty; an UNSAFE verdict carries a witness point from the overlap."""
+    is empty; an UNSAFE verdict carries a witness point from the overlap.
+    Without a budget of its own it uses the result's."""
     if safety.state not in result.state_names:
         raise ValueError(f"{safety.state} is not a state of this result")
     # the overlaps take every id fresh from this allocator and never leave this
     # function, so a private allocator cannot collide with the caller's ids
     alloc = alloc or IdAllocator()
+    budget = budget or result.budget
     verdicts = []
     for k, sets in enumerate(result.steps):
         state_set = sets[safety.state]
@@ -241,14 +234,8 @@ def exhaustive_reach(
     }
 
     def joint(front) -> PointSet:
-        stacked = []
-        for combo in front:
-            acc = combo[0]
-            for v in combo[1:]:
-                acc = concat(acc, v)
-            stacked.append(acc)
         n = sum(net.widths[name] for name in names)
-        return PointSet.from_bitvectors(stacked, n)
+        return PointSet.from_bitvectors([concat(*combo) for combo in front], n)
 
     out = [joint(frontier)]
     for step_inputs in _per_step(input_points, steps):

@@ -8,10 +8,10 @@ no constraints it is a polynomial logical zonotope <c, G, E, id>; with
 identity exponents over fresh ids as well it is a logical zonotope
 <c, G>, the XOR-subset combinations of G added to c.
 
-Every binary operation is one composition: ``_align`` puts both
+Every binary operation is one composition: ``_align`` puts the
 operands' exponent and constraint words over one merged id vector, so
 repeated occurrences of one set stay correlated, and the result carries
-both operands' constraints. The exact gates, ``stack`` and ``intersect``
+the operands' constraints. The exact gates, ``stack`` and ``intersect``
 build their result from those words in one constructor call and differ
 only in their c, G and E (``intersect`` adds a coupling constraint on
 copies with fresh ids); a Minkowski gate is the exact one on such
@@ -160,40 +160,42 @@ class ConstrainedPolyLogicalZonotope:
 CPLZ = ConstrainedPolyLogicalZonotope
 
 
-def _align(c1: CPLZ, c2: CPLZ) -> tuple:
-    """(ids, E1, R1, E2, R2): the merged ids, c1's first and then c2's novel ones,
-    and both operands' E and R words over them. Rows of a foreign id are zero,
-    so each point set is unchanged; an operand whose ids lead the merged
-    vector in order, in as many words, keeps its own words."""
-    known = set(c1.id)
-    ids = c1.id + tuple(i for i in c2.id if i not in known)
+def _align(*sets: CPLZ) -> tuple:
+    """(ids, Es, Rs): the merged ids, every operand's ids in first-seen order,
+    and each operand's E and R words over them. Rows of a foreign id are
+    zero, so each point set is unchanged; an operand whose ids lead the
+    merged vector in order, in as many words, keeps its own words."""
+    ids = tuple(dict.fromkeys([i for s in sets for i in s.id]))
     p, row = len(ids), {ident: k for k, ident in enumerate(ids)}
-
-    def place(c: CPLZ) -> tuple[np.ndarray, np.ndarray]:
-        if c.id == ids[: c.p] and n_words(c.p) == n_words(p):
-            return c.E.data, c.R.data
-        rows = [row[i] for i in c.id]
-        return _move_rows(c.E.data, range(c.p), rows, p), _move_rows(c.R.data, range(c.p), rows, p)
-
-    return (ids, *place(c1), *place(c2))
+    Es, Rs = [], []
+    for s in sets:
+        E, R = s.E.data, s.R.data
+        if s.id != ids[: s.p] or n_words(s.p) != n_words(p):
+            rows = [row[i] for i in s.id]
+            E, R = _move_rows(E, range(s.p), rows, p), _move_rows(R, range(s.p), rows, p)
+        Es.append(E)
+        Rs.append(R)
+    return ids, Es, Rs
 
 
 def merge_id(c1: CPLZ, c2: CPLZ) -> tuple[CPLZ, CPLZ]:
     """Both operands over the union of their id vectors (see ``_align``); c1
     itself when c2 adds no id."""
-    ids, E1, R1, E2, R2 = _align(c1, c2)
+    ids, (E1, E2), (R1, R2) = _align(c1, c2)
     p = len(ids)
     a2 = CPLZ(c2.c, c2.G, BitMatrix(p, E2), c2.A, c2.b, BitMatrix(p, R2), ids)
     return (c1 if p == c1.p else CPLZ(c1.c, c1.G, BitMatrix(p, E1), c1.A, c1.b, BitMatrix(p, R1), ids)), a2
 
 
-def _constraints(c1: CPLZ, c2: CPLZ, R1: np.ndarray, R2: np.ndarray) -> tuple:
-    """(A, b, R words) of both operands' constraints; composed only when both have some."""
-    if not (c2.m or c2.q):
-        return c1.A, c1.b, R1
-    if not (c1.m or c1.q):
-        return c2.A, c2.b, R2
-    return blkdiag(c1.A, c2.A), concat(c1.b, c2.b), np.concatenate([R1, R2])
+def _constraints(sets: Sequence[CPLZ], Rs: Sequence[np.ndarray]) -> tuple:
+    """(A, b, R words) of the operands' constraints: one block per operand
+    that has some, composed only when two or more do."""
+    held = [(s, R) for s, R in zip(sets, Rs) if s.m or s.q] or [(sets[0], Rs[0])]
+    if len(held) == 1:
+        (s, R), = held
+        return s.A, s.b, R
+    A = blkdiag(*(s.A for s, _ in held))
+    return A, concat(*(s.b for s, _ in held)), np.concatenate([R for _, R in held])
 
 
 def _require_same_dim(c1, c2) -> None:
@@ -237,7 +239,7 @@ def _gate(c1: CPLZ, c2: CPLZ, core: Gate, flip1=False, flip2=False, flip_out=Fal
     ``_product``), for the input centers x; product columns take the OR of
     the exponent columns, since alpha^a AND alpha^b == alpha^(a OR b)."""
     _require_same_dim(c1, c2)
-    ids, E1, R1, E2, R2 = _align(c1, c2)
+    ids, (E1, E2), Rs = _align(c1, c2)
     x1 = ~c1.c.words if flip1 else c1.c.words
     x2 = ~c2.c.words if flip2 else c2.c.words
     if core is Gate.XOR:
@@ -249,7 +251,7 @@ def _gate(c1: CPLZ, c2: CPLZ, core: Gate, flip1=False, flip2=False, flip_out=Fal
             raise BudgetExceeded(f"{msg}, over the cap of {MAX_COLUMNS}")
         G = _product(np.bitwise_and, x1, x2, c1.G.data, c2.G.data)
         c, E = x1 & x2, _product(np.bitwise_or, np.uint64(0), np.uint64(0), E1, E2)
-    A, b, R = _constraints(c1, c2, R1, R2)
+    A, b, R = _constraints((c1, c2), Rs)
     c, p = BitVector(c1.n, ~c if flip_out else c), len(ids)
     return CPLZ(c, BitMatrix(c1.n, G), BitMatrix(p, E), A, b, BitMatrix(p, R), ids)
 
@@ -300,8 +302,8 @@ def intersect(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
     """
     _require_same_dim(c1, c2)
     d1, d2 = refresh_ids(c1, alloc), refresh_ids(c2, alloc)
-    ids, E1, R1, E2, R2 = _align(d1, d2)
-    A, b, R = _constraints(d1, d2, R1, R2)
+    ids, (E1, E2), Rs = _align(d1, d2)
+    A, b, R = _constraints((d1, d2), Rs)
     A, b = blkdiag(A, hconcat(c1.G, c2.G)), concat(b, elementwise_gate(Gate.XOR, c1.c, c2.c))
     p = len(ids)
     return CPLZ(c1.c, c1.G, BitMatrix(p, E1), A, b, BitMatrix(p, np.concatenate([R, E1, E2])), ids)
@@ -357,13 +359,16 @@ def canonicalize(c: CPLZ) -> CPLZ:
     return CPLZ(center, BitMatrix(c.n, payloads), BitMatrix(c.p, keys), c.A, c.b, c.R, c.id)
 
 
-def stack(c1: CPLZ, c2: CPLZ) -> CPLZ:
-    """Dependency-preserving cartesian stack: points are [x1(alpha); x2(alpha)]
-    over the shared factor vector. Used to measure joint reachable sets."""
-    ids, E1, R1, E2, R2 = _align(c1, c2)
-    A, b, R = _constraints(c1, c2, R1, R2)
-    p, E = len(ids), np.concatenate([E1, E2])
-    return CPLZ(concat(c1.c, c2.c), blkdiag(c1.G, c2.G), BitMatrix(p, E), A, b, BitMatrix(p, R), ids)
+def stack(*sets: CPLZ) -> CPLZ:
+    """Dependency-preserving cartesian stack: points are [x1(alpha); x2(alpha); ...]
+    over the shared factor vector (see ``_align``), built in one composition;
+    it equals the pairwise fold ``stack(stack(a, b), c)`` bit for bit. Used
+    to measure joint reachable sets."""
+    ids, Es, Rs = _align(*sets)
+    A, b, R = _constraints(sets, Rs)
+    p, E = len(ids), np.concatenate(Es)
+    c, G = concat(*(s.c for s in sets)), blkdiag(*(s.G for s in sets))
+    return CPLZ(c, G, BitMatrix(p, E), A, b, BitMatrix(p, R), ids)
 
 
 def lz_flatten(c: CPLZ, alloc: IdAllocator) -> CPLZ:

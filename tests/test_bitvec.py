@@ -215,6 +215,27 @@ def test_packed_compositions_match_bool_reference(seed, r1, r2, c1, c2):
         assert select_rows(BitMatrix.from_bool(spread), positions) == ma
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.lists(ROW_COUNTS, min_size=1, max_size=4),
+    cols=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+)
+def test_compositions_of_many_operands_match_bool_reference(seed, rows, cols):
+    # 1-4 operands at offsets that fall on both sides of the word boundaries
+    rng = np.random.default_rng(seed)
+    blocks = [rng.integers(0, 2, size=(r, c)).astype(bool) for r, c in zip(rows, cols)]
+    diag = np.zeros((sum(rows), sum(b.shape[1] for b in blocks)), dtype=bool)
+    r0 = c0 = 0
+    for b in blocks:
+        diag[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
+        r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+    assert blkdiag(*map(BitMatrix.from_bool, blocks)) == BitMatrix.from_bool(diag)
+
+    vecs = [rng.integers(0, 2, size=r) for r in rows]
+    assert concat(*map(BitVector.from_bits, vecs)) == BitVector.from_bits(np.concatenate(vecs))
+
+
 def _run_positions(rng, lengths):
     """Positions made of contiguous runs of the given lengths, laid out in a
     shuffled order at random gaps; returns them in run order with a row count."""

@@ -142,6 +142,16 @@ def test_reach_example_circuit(tmp_path, capsys, rep, sizes):
     assert [row["size"] for row in doc["per_step"]] == sizes
 
 
+@pytest.mark.parametrize("rep, mode", [("cplz", "exact"), ("lz", "minkowski")], ids=["cplz", "lz"])
+def test_reach_report_names_the_mode_that_ran(tmp_path, toy_net, rep, mode):
+    # rep lz always runs in minkowski mode, whatever --mode asks for
+    init = write(tmp_path / "init.json", {"b": {"points": ["0", "1"]}})
+    report = tmp_path / "r.json"
+    args = ["--rep", rep, "--mode", "exact", "--json", str(report)]
+    assert main(["reach", "--net", toy_net, "--init", init, "--steps", "1", *args]) == 0
+    assert json.loads(report.read_text())["mode"] == mode
+
+
 def test_reach_example_circuit_minkowski(capsys):
     code = main([*CIRCUIT, "--steps", "5", "--mode", "minkowski", "--enumerate"])
     out, err = capsys.readouterr()
@@ -260,14 +270,27 @@ def test_enumerate_lz_document_past_the_factor_cap(tmp_path, capsys):
 
 def test_enumerate_budget_exit(tmp_path, capsys):
     ids = list(range(1, 31))
-    doc = {"kind": "cplz", "n": 1, "c": "0", "G": ["1"], "E": ["11" + "0" * 28], "id": ids}
+    doc = {"kind": "cplz", "n": 1, "c": "0", "G": ["1"], "E": ["1" * 30], "id": ids}
     p = write(tmp_path / "p30.json", doc)
     assert main(["enumerate", "--set", p]) == 3
 
 
+def test_enumerate_budget_counts_only_live_factors(tmp_path, capsys):
+    # 30 ids, of which only the first two gate a column: the sweep covers 2^2 assignments
+    ids = list(range(1, 31))
+    E = ["1" + "0" * 29, "01" + "0" * 28, "11" + "0" * 28]
+    doc = {"kind": "cplz", "n": 3, "c": "000", "G": ["100", "010", "001"], "E": E, "id": ids}
+    assert main(["enumerate", "--set", write(tmp_path / "p2.json", doc)]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)) == ["000", "010", "100", "111"]
+    # 25 live factors of 30 are still over the default cap of 24
+    doc = {"kind": "cplz", "n": 1, "c": "0", "G": ["1"], "E": ["1" * 25 + "0" * 5], "id": ids}
+    assert main(["enumerate", "--set", write(tmp_path / "p25.json", doc)]) == 3
+    assert "25 factors exceed the enumeration cap of 24" in capsys.readouterr().err
+
+
 def test_enumerate_env_budget(tmp_path, capsys, monkeypatch):
     ids = list(range(1, 7))
-    doc = {"kind": "cplz", "n": 1, "c": "0", "G": ["1"], "E": ["11" + "0" * 4], "id": ids}
+    doc = {"kind": "cplz", "n": 1, "c": "0", "G": ["1"], "E": ["1" * 6], "id": ids}
     p = write(tmp_path / "p6.json", doc)
     monkeypatch.setenv("LOGICZONO_MAX_FACTORS", "5")
     assert main(["enumerate", "--set", p]) == 3
@@ -323,3 +346,10 @@ def test_intersect_containment_assertion_runs(capsys):
         if parts and parts[0].isdigit():
             lz, plz, cplz = int(parts[2]), int(parts[4]), int(parts[6])
             assert cplz <= plz <= lz
+
+
+def test_intersect_rejects_zero_trials(capsys):
+    assert main(["intersect", "--dim", "5", "--trials", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--trials must be at least 1, got 0" in err

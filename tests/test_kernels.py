@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from logiczono import kernels, points
 from logiczono.bitvec import BitMatrix, BitVector
 from logiczono.errors import BudgetExceeded
-from logiczono.points import EnumerationBudget, enumerate_points, is_empty, witness_point
+from logiczono.points import enumerate_points, is_empty, witness_point
 from logiczono.sets import ConstrainedPolyLogicalZonotope, IdAllocator
 from conftest import naive_enumerate, random_cplz
 
@@ -51,15 +51,18 @@ def test_chunked_sweep(rng, alloc, monkeypatch):
     assert witness_point(late) == BitVector.from01("0001")
     assert not is_empty(late)
     # 4 points per admissible chunk, 8 in all: a cap of 5 is crossed only when the last chunk joins
-    assert len(enumerate_points(late, EnumerationBudget(max_points=8))) == 8
+    monkeypatch.setattr(points, "MAX_POINTS", 8)
+    assert len(enumerate_points(late)) == 8
+    monkeypatch.setattr(points, "MAX_POINTS", 5)
     with pytest.raises(BudgetExceeded):
-        enumerate_points(late, EnumerationBudget(max_points=5))
+        enumerate_points(late)
     # the same 4 points in both chunks: the cap counts distinct points
     twice = ConstrainedPolyLogicalZonotope(
         BitVector.zeros(2), BitMatrix.identity(2), BitMatrix.from_bool(np.eye(4, 2, dtype=bool)),
         BitMatrix.from_bool(np.array([[1, 0]], dtype=bool)), BitVector.ones(1),
         BitMatrix.from_bool(np.array([[0, 0], [0, 0], [0, 1], [1, 0]], dtype=bool)), alloc.fresh(4))
-    assert len(enumerate_points(twice, EnumerationBudget(max_points=4))) == 4
+    monkeypatch.setattr(points, "MAX_POINTS", 4)
+    assert len(enumerate_points(twice)) == 4
 
 
 def test_alpha_order_and_offset_block():

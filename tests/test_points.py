@@ -86,8 +86,6 @@ def test_budget_validation():
         EnumerationBudget(max_factors=0)
     with pytest.raises(ValueError):
         EnumerationBudget(max_factors=64)
-    with pytest.raises(ValueError):
-        EnumerationBudget(max_points=0)
 
 
 def test_affine_sets_skip_the_sweep(alloc):

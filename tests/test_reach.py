@@ -30,8 +30,8 @@ def set01(strings):
 def test_identity_network(alloc):
     net = parse_network("state b[1]\nnext b = b\n")
     prob = ReachProblem(net=net, init={"b": points_set(["0", "1"], alloc)}, steps=5)
-    res = reach(prob, alloc=alloc, with_sizes=True)
-    assert res.sizes == [2] * 6
+    res = reach(prob, alloc=alloc)
+    assert [res.size(k) for k in range(6)] == [2] * 6
     for k in range(6):
         assert enumerate_points(res.joint(k)) == set01(["0", "1"])
 
@@ -153,10 +153,10 @@ def test_lz_rep_superset_of_exact(alloc):
         net, init, input_sets, _, _ = _random_network_setup(rng, alloc)
         steps = int(rng.integers(1, 4))
         prob = ReachProblem(net=net, init=init, inputs=input_sets, steps=steps)
-        exact = reach(prob, mode="exact", alloc=alloc, with_sizes=True)
-        lz = reach(prob, rep="lz", alloc=alloc, with_sizes=True)
+        exact = reach(prob, mode="exact", alloc=alloc)
+        lz = reach(prob, rep="lz", alloc=alloc)
         for k in range(steps + 1):
-            assert lz.sizes[k] >= exact.sizes[k]
+            assert lz.size(k) >= exact.size(k)
             assert enumerate_points(exact.joint(k)).issubset(enumerate_points(lz.joint(k)))
 
 
@@ -297,12 +297,30 @@ def test_unsafe_budget_error_names_step_and_set(alloc):
         check_unsafe(res, unsafe, alloc, EnumerationBudget(max_factors=1))
 
 
+def test_result_keeps_its_budget_for_counts_and_checks(alloc):
+    # {0, 1} gated by a degree-2 monomial: counting it sweeps its 2 factors
+    net = parse_network("state b[1]\nnext b = b\n")
+    one = BitMatrix.from_bool(np.ones((1, 1), dtype=bool))
+    both = CPLZ.unconstrained(BitVector.from01("0"), one, BitMatrix.from_bool(np.ones((2, 1), dtype=bool)),
+                              alloc.fresh(2))
+    res = reach(ReachProblem(net=net, init={"b": both}, steps=1), alloc=alloc,
+                budget=EnumerationBudget(max_factors=1))
+    with pytest.raises(BudgetExceeded, match=r"^step 1 joint state set \(h=1, p=2\): 2 factors exceed"):
+        res.size(1)
+    unsafe = SafetySpec("b", points_set(["1"], alloc))
+    with pytest.raises(BudgetExceeded, match=r"^step 0 b ∩ unsafe"):
+        check_unsafe(res, unsafe, alloc)
+    assert [v.safe for v in check_unsafe(res, unsafe, alloc, EnumerationBudget())] == [False, False]
+    assert reach(ReachProblem(net=net, init={"b": both}, steps=1), alloc=alloc).size(1) == 2
+
+
 def test_reach_without_an_allocator_keeps_input_ids_fresh(alloc):
     # the caller's sets already hold ids 1 and 2; a private allocator must not reuse them
     net = parse_network("state a[1]\ninput u[1]\nnext a = a ^ u\n")
     prob = ReachProblem(net=net, init={"a": points_set(["0", "1"], alloc)},
                         inputs={"u": points_set(["0", "1"], alloc)}, steps=1)
-    assert reach(prob, with_sizes=True).sizes == [2, 2]
+    res = reach(prob)
+    assert [res.size(k) for k in range(2)] == [2, 2]
 
 
 def test_reach_leaves_no_cyclic_garbage():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -580,6 +582,81 @@ def test_stack_shared_and_independent(alloc):
     y = refresh_ids(x, alloc)
     full = enumerate_points(stack(x, y))
     assert full == set01(["00", "01", "10", "11"])
+
+
+def _sparse_operand(rng, ids, n, constrained):
+    """A set over the given ids with at most two live factors, so a stack of
+    three stays small enough to enumerate by plain assignment."""
+    p, h = len(ids), int(rng.integers(0, 4))
+    bits = lambda *shape: rng.integers(0, 2, size=shape).astype(bool)
+    live = rng.permutation(p)[:2]
+    E = np.zeros((p, h), dtype=bool)
+    E[live] = bits(len(live), h)
+    c, G = BitVector.from_bits(bits(n)), BitMatrix.from_bool(bits(n, h))
+    if not constrained:
+        return CPLZ.unconstrained(c, G, BitMatrix.from_bool(E), ids)
+    q = int(rng.integers(1, 3))
+    R = np.zeros((p, q), dtype=bool)
+    R[live] = bits(len(live), q)
+    A, b = BitMatrix.from_bool(bits(1, q)), BitVector.from_bits(bits(1))
+    return CPLZ(c, G, BitMatrix.from_bool(E), A, b, BitMatrix.from_bool(R), ids)
+
+
+def naive_stacked_product(sets) -> set[str]:
+    """{[x1(alpha); x2(alpha); ...]} over every value alpha of the factors
+    live in some operand, each operand read by id, as bit strings."""
+    def point(z, alpha):
+        on = lambda col: all(alpha[i] for i, bit in zip(z.id, col) if bit)
+        E, G, A, R = z.E.to_bool(), z.G.to_bool(), z.A.to_bool(), z.R.to_bool()
+        acc = np.zeros(z.m, dtype=bool)
+        for k in range(z.q):
+            if on(R[:, k]):
+                acc ^= A[:, k]
+        if (acc != z.b.bits()).any():
+            return None
+        x = z.c.bits().copy()
+        for j in range(z.h):
+            if on(E[:, j]):
+                x ^= G[:, j]
+        return "".join("1" if v else "0" for v in x)
+
+    all_ids = {i for z in sets for i in z.id}
+    live = sorted({
+        i for z in sets for i, e, r in zip(z.id, z.E.to_bool(), z.R.to_bool()) if e.any() or r.any()
+    })
+    out = set()
+    for values in itertools.product((0, 1), repeat=len(live)):
+        alpha = dict.fromkeys(all_ids, 0) | dict(zip(live, values))
+        parts = [point(z, alpha) for z in sets]
+        if None not in parts:
+            out.add("".join(parts))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([0, 1, 63, 64, 65]),
+    relations=st.tuples(*[st.sampled_from(["shared", "permuted", "disjoint"])] * 2),
+    widths=st.tuples(*[st.sampled_from([1, 3, 30, 64, 65])] * 3),
+    constrained=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+)
+def test_stack_of_many_equals_the_pairwise_fold(seed, p, relations, widths, constrained):
+    rng = np.random.default_rng(seed)
+    alloc = IdAllocator()
+    id1 = alloc.fresh(p)
+    related = {
+        "shared": lambda: list(id1),
+        "permuted": lambda: [id1[k] for k in rng.permutation(p)],
+        "disjoint": lambda: alloc.fresh(int(rng.choice([0, 1, 63, 64, 65]))),
+    }
+    ids = [id1] + [related[r]() for r in relations]
+    a, b, c = (_sparse_operand(rng, i, n, con) for i, n, con in zip(ids, widths, constrained))
+    joint = stack(a, b, c)
+    assert same_set(joint, stack(stack(a, b), c))
+    assert same_set(joint, stack(a, stack(b, c)))
+    assert same_set(stack(a), a)
+    assert set(enumerate_points(joint).to_bitstrings()) == naive_stacked_product([a, b, c])
 
 
 def test_lz_flatten_is_superset(rng, alloc):
