@@ -21,8 +21,8 @@ from .bitvec import BitMatrix, BitVector
 from .errors import BudgetExceeded, NetParseError
 from .network import parse_network
 from .points import DEFAULT_MAX_FACTORS, EnumerationBudget, enumerate_points
-from .reach import REP_CPLZ, REPS, ReachProblem, SafetySpec, check_unsafe, reach
-from .sets import EXACT, MINKOWSKI, CPLZ, IdAllocator, intersect, intersect_overapprox_lz, mink_and
+from .reach import MODES, ReachProblem, SafetySpec, StepVerdict, reach, unsafe_checker
+from .sets import EXACT, CPLZ, IdAllocator, intersect, intersect_overapprox_lz, mink_and
 from . import setio
 
 TIMING_REPS = 10  # median of this many runs, after one discarded warm-up
@@ -108,53 +108,50 @@ def cmd_reach(args) -> int:
         safety = SafetySpec(doc["state"], setio.load_set(doc["set"], alloc))
 
     problem = ReachProblem(net=net, init=init_bindings, inputs=input_bindings, steps=args.steps)
-    result = reach(problem, mode=args.mode, alloc=alloc, budget=budget, rep=args.rep)
+    result = reach(problem, mode=args.mode, alloc=alloc, budget=budget)
     times, n_steps = result.times, args.steps + 1
     checking = safety is not None
-    unsafe_at: list[BitVector | None] = [None] * n_steps
     if checking:
-        for v in check_unsafe(result, safety, alloc):
-            unsafe_at[v.step] = v.witness
+        verdict = unsafe_checker(result, safety, alloc)
+    found_unsafe = False
 
     header = f"{'step':>4}  {'time_ms':>9}  {'size':>10}" + ("  verdict" if checking else "")
     _out(header)
     rows = []
     for k in range(1, n_steps):
-        # counted row by row, so a budget failure at step k keeps rows 1..k-1
+        # counted and checked row by row, so a budget failure at step k keeps rows 1..k-1
         size = result.size(k) if args.enumerate else None
         size_txt = str(size) if size is not None else "not enumerated"
         row = {"step": k, "time_ms": round(times[k] * 1e3, 3), "size": size}
         line = f"{k:>4}  {times[k] * 1e3:>9.3f}  {size_txt:>10}"
         if checking:
-            verdict = "UNSAFE" if unsafe_at[k] is not None else "SAFE"
-            row["verdict"] = verdict
-            row["witness"] = unsafe_at[k].to01() if unsafe_at[k] is not None else None
-            line += f"  {verdict}"
-            if unsafe_at[k] is not None:
-                line += f" (witness {unsafe_at[k].to01()})"
+            row["verdict"], row["witness"] = _verdict_text(verdict(k))
+            line += f"  {row['verdict']}" + (f" (witness {row['witness']})" if row["witness"] else "")
+            found_unsafe |= row["witness"] is not None
         _out(line)
         rows.append(row)
     if checking:
-        v0 = "UNSAFE" if unsafe_at[0] is not None else "SAFE"
-        w0 = f" (witness {unsafe_at[0].to01()})" if unsafe_at[0] is not None else ""
-        _out(f"step 0 (initial): {v0}{w0}")
+        v0, w0 = _verdict_text(verdict(0))
+        _out(f"step 0 (initial): {v0}" + (f" (witness {w0})" if w0 else ""))
+        found_unsafe |= w0 is not None
 
     if args.json:
         report = {
             "command": "reach",
             "net": args.net,
             "steps": args.steps,
-            "rep": args.rep,
-            "mode": result.mode,
+            "mode": args.mode,
             "per_step": rows,
         }
         if checking:
-            report["step0_verdict"] = "UNSAFE" if unsafe_at[0] is not None else "SAFE"
+            report["step0_verdict"] = v0
         setio.write_json(args.json, report)
+    return 1 if found_unsafe else 0
 
-    if checking and any(w is not None for w in unsafe_at):
-        return 1
-    return 0
+
+def _verdict_text(v: StepVerdict) -> tuple[str, str | None]:
+    """SAFE or UNSAFE, and the witness as a bitstring (None when safe)."""
+    return ("SAFE", None) if v.safe else ("UNSAFE", v.witness.to01())
 
 
 # --- intersect ---------------------------------------------------------------
@@ -177,13 +174,11 @@ def _intersection_routes(l1: CPLZ, l2: CPLZ, alloc: IdAllocator, budget):
     points = {}
     for kind, fn in routes.items():
         ms = _median_time_ms(fn)
-        result = fn()
-        pts = enumerate_points(result, budget)
-        records[kind] = {"time_ms": round(ms, 4), "size": len(pts)}
-        points[kind] = pts
+        points[kind] = enumerate_points(fn(), budget)
+        records[kind] = {"time_ms": round(ms, 4), "size": len(points[kind])}
     if not points["cplz"].issubset(points["plz"]) or not points["plz"].issubset(points["lz"]):
         raise AssertionError("exact intersection escaped an overapproximation; this is a bug")
-    return records, points
+    return records
 
 
 def cmd_intersect(args) -> int:
@@ -212,7 +207,7 @@ def cmd_intersect(args) -> int:
             rng = np.random.default_rng([args.seed, t])
             l1 = _random_lz(rng, args.dim, gens, alloc)
             l2 = _random_lz(rng, args.dim, gens, alloc)
-            recs, _ = _intersection_routes(l1, l2, alloc, budget)
+            recs = _intersection_routes(l1, l2, alloc, budget)
             for kind in ("lz", "plz", "cplz"):
                 records.append({
                     "kind": kind,
@@ -270,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reach.add_argument("--init", required=True, help="JSON bindings for initial state sets")
     p_reach.add_argument("--inputs", help="JSON bindings for input sets (map, or per-step array)")
     p_reach.add_argument("--steps", type=int, required=True)
-    p_reach.add_argument("--rep", choices=REPS, default=REP_CPLZ)
-    p_reach.add_argument("--mode", choices=(EXACT, MINKOWSKI), default=EXACT)
+    p_reach.add_argument("--mode", choices=MODES, default=EXACT)
     p_reach.add_argument("--enumerate", action="store_true", help="report joint point counts per step")
     p_reach.add_argument("--unsafe", help='JSON {"state": NAME, "set": {...}}')
     p_reach.add_argument("--max-factors", type=int, default=None)

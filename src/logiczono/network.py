@@ -30,13 +30,7 @@ from .errors import (
     UndeclaredVariable,
     WidthMismatch,
 )
-from .sets import (
-    EXACT,
-    MINKOWSKI,
-    IdAllocator,
-    apply_gate,
-    negate,
-)
+from .sets import IdAllocator, apply_gate, negate
 
 
 @dataclass(frozen=True)
@@ -282,26 +276,21 @@ def eval_expr_sets(
 ):
     """Bottom-up evaluation over constrained polynomial logical zonotopes.
 
-    In exact mode, variables bound to the same set (or to sets sharing
+    ``mode`` is the gate mode, passed to every ``apply_gate`` (which checks
+    it): in exact mode, variables bound to the same set (or to sets sharing
     factor ids) stay correlated; minkowski mode re-ids at every gate.
     Every gate result passes through ``normalize`` (the identity by
-    default); ``reach`` passes its rep's normal form, so deep expressions
-    stay tractable.
+    default); ``reach`` passes its run's normal form, so deep expressions
+    stay tractable. A module function, not a closure: a recursive closure
+    is a reference cycle that would keep env and every set of the step
+    alive until gc runs.
     """
-    if mode not in (EXACT, MINKOWSKI):
-        raise ValueError(f"mode must be '{EXACT}' or '{MINKOWSKI}', got {mode!r}")
-    return _eval_sets(expr, env, mode, alloc, normalize)
-
-
-def _eval_sets(node: Expr, env: dict, mode: str, alloc: IdAllocator, normalize):
-    # a module function, not a closure: a recursive closure is a reference
-    # cycle that would keep env and every set of the step alive until gc runs
-    if isinstance(node, Var):
-        if node.name not in env:
-            raise UndeclaredVariable(f"{node.name} is not bound")
-        return env[node.name]
-    if isinstance(node, Not):
-        return negate(_eval_sets(node.operand, env, mode, alloc, normalize))
-    lhs = _eval_sets(node.lhs, env, mode, alloc, normalize)
-    rhs = _eval_sets(node.rhs, env, mode, alloc, normalize)
-    return normalize(apply_gate(node.op, lhs, rhs, alloc, mode))
+    if isinstance(expr, Var):
+        if expr.name not in env:
+            raise UndeclaredVariable(f"{expr.name} is not bound")
+        return env[expr.name]
+    if isinstance(expr, Not):
+        return negate(eval_expr_sets(expr.operand, env, mode, alloc, normalize))
+    lhs = eval_expr_sets(expr.lhs, env, mode, alloc, normalize)
+    rhs = eval_expr_sets(expr.rhs, env, mode, alloc, normalize)
+    return normalize(apply_gate(expr.op, lhs, rhs, alloc, mode))

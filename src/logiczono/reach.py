@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .bitvec import BitVector, concat
@@ -37,9 +38,9 @@ from .sets import (
 
 CPLZ = ConstrainedPolyLogicalZonotope
 
-REP_LZ = "lz"
-REP_CPLZ = "cplz"
-REPS = (REP_LZ, REP_CPLZ)
+# the paper's three runs: exact and Minkowski gates on constrained polynomial
+# sets, and Minkowski gates flattened to logical zonotopes
+MODES = (EXACT, MINKOWSKI, "lz")
 
 
 def _per_step(inputs, steps: int) -> list:
@@ -78,7 +79,9 @@ class ReachProblem:
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
         _check_bindings("initial", self.net.states, self.init)
-        for step_inputs in self.inputs_for_steps():
+        maps = self.inputs_for_steps()
+        # a reused map is one map: checked once, not once per step
+        for step_inputs in maps if isinstance(self.inputs, list) else maps[:1]:
             _check_bindings("input", self.net.inputs, step_inputs)
 
     def inputs_for_steps(self) -> list[dict[str, CPLZ]]:
@@ -102,14 +105,13 @@ class StepVerdict:
 
 @dataclass
 class ReachResult:
-    """Per-step state sets and wall times of one run, with the mode it ran in
-    and the enumeration budget its counts use (None: the default budget).
+    """Per-step state sets and wall times of one run, with the enumeration
+    budget its counts use (None: the default budget).
 
-    Step 0 holds the initial sets in the rep's normal form.
+    Step 0 holds the initial sets in the run's normal form.
     """
 
     state_names: list[str]
-    mode: str
     budget: EnumerationBudget | None = None
     steps: list[dict[str, CPLZ]] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
@@ -129,28 +131,25 @@ def reach(
     mode: str = EXACT,
     alloc: IdAllocator | None = None,
     budget: EnumerationBudget | None = None,
-    rep: str = REP_CPLZ,
 ) -> ReachResult:
     """Iterate the network per the synchronous semantics for problem.steps steps.
 
-    Every set is normalized once, where it enters a step (the initial sets,
-    each step's fresh input copies) or leaves a gate, so every state set,
-    step 0 included, is in the rep's normal form. rep="lz" flattens to
-    logical-zonotope form (an overapproximating run, always in minkowski
-    mode, which the result records); "cplz" keeps the polynomial
-    constructions exact; a gate over ``sets.MAX_COLUMNS`` fails naming the
-    step and the state. Nothing is enumerated here: the result keeps
-    ``budget`` for its joint counts (``ReachResult.size``) and for
-    ``check_unsafe``.
+    ``mode`` is one of ``MODES``. "exact" and "minkowski" run exact or
+    Minkowski gates on constrained polynomial sets; "lz" runs Minkowski
+    gates and flattens every set to logical-zonotope form, an
+    overapproximating run. Every set is normalized once, where it enters a
+    step (the initial sets, each step's fresh input copies) or leaves a
+    gate, so every state set, step 0 included, is in the run's normal
+    form. A gate over ``sets.MAX_COLUMNS`` fails naming the step and the
+    state. Nothing is enumerated here: the result keeps ``budget`` for its
+    joint counts (``ReachResult.size``) and for ``check_unsafe``.
     """
-    if mode not in (EXACT, MINKOWSKI):
-        raise ValueError(f"mode must be '{EXACT}' or '{MINKOWSKI}', got {mode!r}")
-    if rep not in REPS:
-        raise ValueError(f"rep must be one of {REPS}, got {rep!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if alloc is None:  # fresh input and Minkowski ids must not repeat a state's
         alloc = IdAllocator()
         alloc.reserve(i for s in problem.init.values() for i in s.id)
-    if rep == REP_LZ:
+    if mode == "lz":
         mode = MINKOWSKI
         normalize = lambda s: lz_flatten(s, alloc)
     else:
@@ -158,7 +157,7 @@ def reach(
         normalize = lambda s: drop_inert_ids(canonicalize(s))
 
     env = {name: normalize(s) for name, s in problem.init.items()}
-    result = ReachResult(state_names=problem.net.state_names, mode=mode, budget=budget)
+    result = ReachResult(state_names=problem.net.state_names, budget=budget)
     result.steps.append(env)
     result.times.append(0.0)
 
@@ -186,32 +185,43 @@ def _budgeted(fn, s: CPLZ, budget: EnumerationBudget | None, what: str):
         raise BudgetExceeded(f"{what} (h={s.h}, p={s.p}): {exc}") from exc
 
 
+def unsafe_checker(
+    result: ReachResult,
+    safety: SafetySpec,
+    alloc: IdAllocator | None = None,
+    budget: EnumerationBudget | None = None,
+) -> Callable[[int], StepVerdict]:
+    """Check the safety spec against the result once and return the verdict
+    of one step: SAFE iff the exact intersection with the unsafe set is
+    empty; an UNSAFE verdict carries a witness point from the overlap.
+    Without a budget of its own it uses the result's."""
+    if safety.state not in result.state_names:
+        raise ValueError(f"{safety.state} is not a state of this result")
+    width = result.steps[0][safety.state].n
+    if width != safety.unsafe.n:
+        raise DimensionError(f"unsafe set dimension {safety.unsafe.n} != state width {width}")
+    # the overlaps take every id fresh from this allocator and never leave this
+    # check, so a private allocator cannot collide with the caller's ids
+    alloc = alloc or IdAllocator()
+    budget = budget or result.budget
+
+    def verdict(k: int) -> StepVerdict:
+        overlap = intersect(result.steps[k][safety.state], safety.unsafe, alloc)
+        witness = _budgeted(witness_point, overlap, budget, f"step {k} {safety.state} ∩ unsafe")
+        return StepVerdict(step=k, safe=witness is None, witness=witness)
+
+    return verdict
+
+
 def check_unsafe(
     result: ReachResult,
     safety: SafetySpec,
     alloc: IdAllocator | None = None,
     budget: EnumerationBudget | None = None,
 ) -> list[StepVerdict]:
-    """Per-step verdicts: SAFE iff the exact intersection with the unsafe set
-    is empty; an UNSAFE verdict carries a witness point from the overlap.
-    Without a budget of its own it uses the result's."""
-    if safety.state not in result.state_names:
-        raise ValueError(f"{safety.state} is not a state of this result")
-    # the overlaps take every id fresh from this allocator and never leave this
-    # function, so a private allocator cannot collide with the caller's ids
-    alloc = alloc or IdAllocator()
-    budget = budget or result.budget
-    verdicts = []
-    for k, sets in enumerate(result.steps):
-        state_set = sets[safety.state]
-        if state_set.n != safety.unsafe.n:
-            raise DimensionError(
-                f"unsafe set dimension {safety.unsafe.n} != state width {state_set.n}"
-            )
-        overlap = intersect(state_set, safety.unsafe, alloc)
-        witness = _budgeted(witness_point, overlap, budget, f"step {k} {safety.state} ∩ unsafe")
-        verdicts.append(StepVerdict(step=k, safe=witness is None, witness=witness))
-    return verdicts
+    """The verdict of every step, step 0 first (see ``unsafe_checker``)."""
+    verdict = unsafe_checker(result, safety, alloc, budget)
+    return [verdict(k) for k in range(len(result.steps))]
 
 
 def exhaustive_reach(

@@ -278,12 +278,12 @@ _GATES = {
 }
 
 
-def apply_gate(gate: Gate, c1: CPLZ, c2: CPLZ, alloc: IdAllocator, mode: str = MINKOWSKI) -> CPLZ:
-    """Any of the six binary gates.
+def apply_gate(gate: Gate, c1: CPLZ, c2: CPLZ, alloc: IdAllocator, mode: str) -> CPLZ:
+    """Any of the six binary gates, in a required ``mode``.
 
-    ``mode`` exact keeps the operands' shared factors; minkowski pairs
-    independent points, by running the same construction on copies with
-    fresh ids.
+    Exact keeps the operands' shared factors; minkowski pairs independent
+    points, by running the same construction on copies with fresh ids.
+    This is the one place the gate mode is checked.
     """
     if mode not in (MINKOWSKI, EXACT):
         raise ValueError(f"mode must be '{MINKOWSKI}' or '{EXACT}', got {mode!r}")

@@ -194,7 +194,7 @@ def test_criterion_6_shipped_circuit_run():
     exact = reach(prob, mode="exact", alloc=alloc, budget=budget)
     exact_sizes = [exact.size(k) for k in range(6)]
     elapsed = time.monotonic() - t0
-    lz = reach(prob, rep="lz", alloc=alloc, budget=budget)
+    lz = reach(prob, mode="lz", alloc=alloc, budget=budget)
     lz_sizes = [lz.size(k) for k in range(6)]
     per_step = exact_sizes[1:]
     non_decreasing = all(a <= b for a, b in zip(per_step, per_step[1:]))

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -9,13 +11,14 @@ import pytest
 
 from logiczono import sets
 from logiczono.bitvec import BitVector
-from logiczono.cli import main
+from logiczono.cli import build_parser, main
 from logiczono.network import parse_network
 from logiczono.points import PointSet
-from logiczono.reach import ReachProblem, exhaustive_reach, reach
+from logiczono.reach import MODES, ReachProblem, exhaustive_reach, reach
 from logiczono.sets import CPLZ
 
 DATA = resources.files("logiczono") / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write(path, doc):
@@ -53,12 +56,14 @@ def test_reach_explicit_ids_do_not_collide_with_fresh_ones(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1].split()[2] == "4"
 
 
-def test_rep_plz_is_not_a_rep(toy_net, capsys):
-    assert main(["reach", "--net", toy_net, "--init", "x.json", "--steps", "1", "--rep", "plz"]) == 2
+def test_reach_mode_is_the_only_run_knob(toy_net, capsys):
+    # --rep is gone, and so are the set kinds as run names
+    for flags in (["--rep", "lz"], ["--mode", "cplz"], ["--mode", "plz"]):
+        assert main(["reach", "--net", toy_net, "--init", "x.json", "--steps", "1", *flags]) == 2
     problem = ReachProblem(net=parse_network("state b[1]\nnext b = b\n"),
                            init={"b": CPLZ.singleton(BitVector.from01("0"))})
-    with pytest.raises(ValueError, match="rep must be one of"):
-        reach(problem, rep="plz")
+    with pytest.raises(ValueError, match="mode must be one of"):
+        reach(problem, mode="cplz")
 
 
 def test_reach_missing_file(tmp_path, toy_net, capsys):
@@ -128,13 +133,13 @@ CIRCUIT = [
 
 
 @pytest.mark.parametrize(
-    "rep, sizes", [("cplz", [64, 150, 180]), ("lz", [512, 512, 512])], ids=["cplz", "lz"]
+    "mode, sizes", [("exact", [64, 150, 180]), ("lz", [512, 512, 512])], ids=["cplz", "lz"]
 )
-def test_reach_example_circuit(tmp_path, capsys, rep, sizes):
+def test_reach_example_circuit(tmp_path, capsys, mode, sizes):
     report = tmp_path / "r.json"
     code = main([
         *CIRCUIT, "--steps", "3",
-        "--rep", rep, "--mode", "exact", "--enumerate",
+        "--mode", mode, "--enumerate",
         "--json", str(report),
     ])
     assert code == 0
@@ -142,14 +147,15 @@ def test_reach_example_circuit(tmp_path, capsys, rep, sizes):
     assert [row["size"] for row in doc["per_step"]] == sizes
 
 
-@pytest.mark.parametrize("rep, mode", [("cplz", "exact"), ("lz", "minkowski")], ids=["cplz", "lz"])
-def test_reach_report_names_the_mode_that_ran(tmp_path, toy_net, rep, mode):
-    # rep lz always runs in minkowski mode, whatever --mode asks for
+@pytest.mark.parametrize("mode", MODES)
+def test_reach_report_names_the_mode_that_ran(tmp_path, toy_net, mode):
     init = write(tmp_path / "init.json", {"b": {"points": ["0", "1"]}})
     report = tmp_path / "r.json"
-    args = ["--rep", rep, "--mode", "exact", "--json", str(report)]
+    args = ["--mode", mode, "--json", str(report)]
     assert main(["reach", "--net", toy_net, "--init", init, "--steps", "1", *args]) == 0
-    assert json.loads(report.read_text())["mode"] == mode
+    doc = json.loads(report.read_text())
+    assert doc["mode"] == mode
+    assert "rep" not in doc
 
 
 def test_reach_example_circuit_minkowski(capsys):
@@ -216,6 +222,30 @@ def test_reach_budget_names_the_step(tmp_path, capsys):
     assert [(int(r[0]), int(r[2])) for r in rows] == list(
         zip(range(1, 6), [128, 540, 1295, 2325, 3165])
     )
+
+
+def test_reach_unsafe_budget_failure_keeps_decided_rows(tmp_path, capsys):
+    # the same 3-point circuit: B1 ∩ unsafe has 15 live factors at step 4,
+    # over a cap of 12, while steps 1-3 are decided (all UNSAFE)
+    init = json.loads((DATA / "circuit3x10_init.json").read_text())
+    inputs = json.loads((DATA / "circuit3x10_inputs.json").read_text())
+    init["B1"]["points"].append("1111100000")
+    inputs["U1"]["points"].append("0000011111")
+    unsafe = {"state": "B1", "set": {"points": ["1111111111", "0000000001"]}}
+    code = main([
+        "reach", "--net", str(DATA / "circuit3x10.bn"), "--steps", "5", "--max-factors", "12",
+        "--init", write(tmp_path / "i.json", init), "--inputs", write(tmp_path / "u.json", inputs),
+        "--unsafe", write(tmp_path / "x.json", unsafe),
+    ])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "step 4 B1 ∩ unsafe (h=784, p=15): 15 factors exceed" in err
+    lines = out.splitlines()
+    assert lines[0].split() == ["step", "time_ms", "size", "verdict"]
+    rows = [line.split() for line in lines[1:]]
+    assert [(int(r[0]), r[2], r[3], r[4]) for r in rows] == [
+        (k, "not", "enumerated", "UNSAFE") for k in (1, 2, 3)
+    ]
 
 
 def test_enumerate_singleton(tmp_path, capsys):
@@ -353,3 +383,33 @@ def test_intersect_rejects_zero_trials(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--trials must be at least 1, got 0" in err
+
+
+def _readme_usage() -> dict[str, str]:
+    """The README's "Command line" block as {subcommand: its usage text}."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    usage: dict[str, str] = {}
+    command = None
+    for line in block.strip().splitlines():
+        words = line.split()
+        if words[0] == "logiczono":
+            command, line = words[1], " ".join(words[2:])
+        usage[command] = usage.get(command, "") + " " + line
+    return usage
+
+
+def test_readme_usage_matches_the_parser():
+    # every flag the README shows exists on its subcommand with the listed
+    # choices, and every flag the parser takes is shown
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    usage = _readme_usage()
+    assert set(usage) == set(subparsers.choices)
+    for command, text in usage.items():
+        options = subparsers.choices[command]._option_string_actions
+        shown = dict(re.findall(r"(--[\w-]+)(?: ([^\s\[\]-][^\s\[\]]*))?", text))
+        assert set(shown) == {flag for flag in options if flag.startswith("--")} - {"--help"}, command
+        for flag, value in shown.items():
+            listed = value.split("|") if "|" in value else None
+            choices = options[flag].choices
+            assert listed == (list(choices) if choices else None), (command, flag)

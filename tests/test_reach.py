@@ -1,4 +1,5 @@
 import gc
+import importlib
 from importlib import resources
 
 import numpy as np
@@ -115,6 +116,25 @@ def test_problem_validation(alloc):
         )
 
 
+def test_a_reused_input_map_is_checked_once(monkeypatch):
+    reach_mod = importlib.import_module("logiczono.reach")
+    checked = []
+    check = reach_mod._check_bindings
+    monkeypatch.setattr(
+        reach_mod, "_check_bindings", lambda kind, *args: (checked.append(kind), check(kind, *args))
+    )
+    net = parse_network("state b[1]\ninput u[1]\nnext b = u\n")
+    init = {"b": CPLZ.singleton(BitVector.from01("0"))}
+    u0, u1 = ({"u": CPLZ.singleton(BitVector.from01(x))} for x in "01")
+    ReachProblem(net=net, init=init, inputs=u0, steps=1000)
+    assert checked == ["initial", "input"]
+    checked.clear()
+    ReachProblem(net=net, init=init, inputs=[u0, u1, u0], steps=3)
+    assert checked == ["initial", "input", "input", "input"]
+    with pytest.raises(DimensionError):
+        ReachProblem(net=net, init=init, inputs=[u0, {"u": CPLZ.singleton(BitVector.from01("00"))}], steps=2)
+
+
 def test_reach_matches_exhaustive_simulation(alloc):
     rng = np.random.default_rng(77)
     for _ in range(12):
@@ -154,7 +174,7 @@ def test_lz_rep_superset_of_exact(alloc):
         steps = int(rng.integers(1, 4))
         prob = ReachProblem(net=net, init=init, inputs=input_sets, steps=steps)
         exact = reach(prob, mode="exact", alloc=alloc)
-        lz = reach(prob, rep="lz", alloc=alloc)
+        lz = reach(prob, mode="lz", alloc=alloc)
         for k in range(steps + 1):
             assert lz.size(k) >= exact.size(k)
             assert enumerate_points(exact.joint(k)).issubset(enumerate_points(lz.joint(k)))

@@ -257,12 +257,12 @@ def test_derived_gate_truth_tables(alloc):
 
 def test_derived_gate_examples(alloc):
     assert enumerate_points(
-        apply_gate(Gate.NAND, singleton("1"), singleton("1"), alloc)
+        apply_gate(Gate.NAND, singleton("1"), singleton("1"), alloc, "minkowski")
     ) == set01(["0"])
-    got = apply_gate(Gate.OR, two_valued(alloc), singleton("0"), alloc)
+    got = apply_gate(Gate.OR, two_valued(alloc), singleton("0"), alloc, "minkowski")
     assert enumerate_points(got) == set01(["0", "1"])
     assert enumerate_points(
-        apply_gate(Gate.NOR, singleton("0"), singleton("0"), alloc)
+        apply_gate(Gate.NOR, singleton("0"), singleton("0"), alloc, "minkowski")
     ) == set01(["1"])
 
 
