@@ -33,7 +33,6 @@ from .sets import (
     exact_xor,
     intersect,
     intersect_overapprox_lz,
-    merge_id,
     mink_and,
     mink_xor,
     negate,
@@ -72,7 +71,6 @@ __all__ = [
     "intersect",
     "intersect_overapprox_lz",
     "is_empty",
-    "merge_id",
     "mink_and",
     "mink_xor",
     "negate",

@@ -210,6 +210,34 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
+def gf2_basis(rows: np.ndarray) -> np.ndarray:
+    """The reduced row-echelon basis of the GF(2) span of packed rows, as packed
+    rows in increasing pivot order; a row's pivot is its top bit, which no
+    other basis row has set, so the basis is unique for a span.
+
+    Dedupes and drops the zero row first, then each pass takes the rest row
+    with the highest top bit as the next pivot and XORs it into every row,
+    pivots found so far included, that has that bit. Found pivots are kept
+    in front, highest first."""
+    m = _unique_rows(rows.copy())
+    if m.shape[0] and not np.count_nonzero(m[0]):  # the zero row sorts first
+        m = m[1:]
+    i, w = 0, m.shape[1] - 1
+    while i < m.shape[0] and w >= 0:
+        j = i + int(m[i:, w].argmax())
+        r = m[j].copy()
+        if not r[w]:  # no rest row has a bit in word w
+            w -= 1
+            continue
+        col = m[:, w]
+        # r's top bit is the highest bit r flips, so x ^ r < x in word w iff x has it
+        np.bitwise_xor(m, r, out=m, where=((col ^ r[w]) < col)[:, None])
+        m[j] = m[i]
+        m[i] = r
+        i += 1
+    return m[:i][::-1]
+
+
 class BitMatrix:
     """Matrix over {0, 1} stored column-major: one packed payload per column.
 

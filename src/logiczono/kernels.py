@@ -12,7 +12,9 @@ table of all assignments, instead of testing every column against every
 assignment at O(h * 2^p) (Joux, *Algorithmic Cryptanalysis*, 2009,
 ch. 9). Over GF(2) the transform is its own inverse (the Moebius
 transform), so the same pass also turns a table of points back into its
-generators: ``points.encode_points``.
+generators (``points.encode_points``), and it lists an affine set from
+its reduced basis (``bitvec.gf2_basis``), one factor per basis row
+(``points.enumerate_points``).
 
 The passes over short runs are the expensive ones: a pass whose runs
 are 2^j rows long pays numpy's per-run overhead, so on a 2^18-row table

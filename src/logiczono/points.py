@@ -9,9 +9,11 @@ witness is the first point of the first non-empty block. The sweep cost
 is 2^p over the live factors (inert ones are dropped first), so that p
 is guarded by an EnumerationBudget, and an enumeration emits at most
 MAX_POINTS points. Unconstrained sets whose monomials all have degree at
-most one (logical zonotopes among them) are affine subspaces over GF(2)
-and are counted or materialized through a basis instead of a sweep,
-whatever their factor count.
+most one (logical zonotopes among them) are affine subspaces over GF(2),
+offset XOR span(G), whatever their factor count: ``bitvec.gf2_basis``
+reduces their generators to a basis of some rank r, so they have 2^r
+points, and the same subset-XOR transform lists them over r factors,
+one per basis row.
 Enumeration dedupes by sorting the packed words of the swept points in
 place (``bitvec._unique_rows``) and keeping each row that differs from
 its predecessor.
@@ -25,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .bitvec import GATE_WORDS, BitMatrix, BitVector, Gate, _unique_rows, n_words, pad_mask
+from .bitvec import GATE_WORDS, BitMatrix, BitVector, Gate, _unique_rows, gf2_basis, n_words, pad_mask
 from .errors import BudgetExceeded, DimensionError
 from .sets import CPLZ, IdAllocator, canonicalize, drop_inert_ids
 
@@ -139,11 +141,6 @@ def pointset_gate(gate: Gate, p1: PointSet, p2: PointSet) -> PointSet:
     return PointSet(p1.n, out.reshape(-1, p1.rows.shape[1]))
 
 
-def pointset_complement(p: PointSet) -> PointSet:
-    """Flip every point (the pointwise NOT image)."""
-    return PointSet(p.n, ~p.rows)
-
-
 # --- point domain -> generator domain ---------------------------------------
 
 
@@ -180,33 +177,10 @@ def encode_points(points: Iterable[BitVector], alloc: IdAllocator) -> CPLZ:
 # --- generator domain -> point domain ---------------------------------------
 
 
-def _gf2_basis(rows: np.ndarray) -> list[np.ndarray]:
-    """Reduce packed row vectors to an independent GF(2) basis."""
-    pivots: dict[int, np.ndarray] = {}
-    for row in rows:
-        v = row.copy()
-        while True:
-            msb = _top_bit(v)
-            if msb < 0:
-                break
-            if msb in pivots:
-                v = v ^ pivots[msb]
-            else:
-                pivots[msb] = v
-                break
-    return [pivots[k] for k in sorted(pivots)]
-
-
-def _top_bit(words: np.ndarray) -> int:
-    for w in range(words.shape[0] - 1, -1, -1):
-        if words[w]:
-            return w * 64 + int(words[w]).bit_length() - 1
-    return -1
-
-
-def _span_form(c: CPLZ) -> tuple[np.ndarray, list[np.ndarray]] | None:
+def _span_form(c: CPLZ) -> tuple[np.ndarray, np.ndarray] | None:
     """(offset, basis) with point set == offset XOR span(basis), for sets whose
-    monomials all have degree <= 1 (no effective constraints).
+    monomials all have degree <= 1 (no effective constraints); the basis
+    is ``bitvec.gf2_basis`` of the payloads.
 
     After canonicalize, the columns gated by one factor have merged into
     one and the degree-0 columns have folded into the center, so the
@@ -217,11 +191,11 @@ def _span_form(c: CPLZ) -> tuple[np.ndarray, list[np.ndarray]] | None:
     if c.q > 0 and c.m > 0:
         return None
     words = c.E.data
-    one_bit_words = (words & (words - np.uint64(1))) == 0  # zero or a power of two
-    if not (one_bit_words.all() and ((words != 0).sum(axis=1) <= 1).all()):
+    # degree <= 1: each exponent column has at most one nonzero word, a power of two
+    if (words & (words - np.uint64(1))).any() or ((words != 0).sum(axis=1) > 1).any():
         return None
     d = canonicalize(c)
-    return d.c.words, _gf2_basis(d.G.data)
+    return d.c.words, gf2_basis(d.G.data)
 
 
 def _empty_by_constraints(c: CPLZ) -> bool:
@@ -270,13 +244,13 @@ def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointS
     span = _span_form(c)
     if span is not None:
         offset, basis = span
-        if 1 << len(basis) > MAX_POINTS:
-            msg = f"affine set has 2^{len(basis)} points"
-            raise BudgetExceeded(f"{msg}, over the cap of {MAX_POINTS}")
-        pts = offset[None, :]
-        for vec in basis:
-            pts = np.concatenate([pts, pts ^ vec[None, :]])
-        return PointSet(c.n, pts)
+        r = basis.shape[0]
+        if 1 << r > MAX_POINTS:
+            raise BudgetExceeded(f"affine set has 2^{r} points, over the cap of {MAX_POINTS}")
+        # one factor per basis row: the transform lists every subset XOR of the basis
+        table = np.empty((1 << r, basis.shape[1]), dtype=np.uint64)
+        masks = np.uint64(1) << np.arange(r, dtype=np.uint64)
+        return PointSet(c.n, kernels.subset_xor(0, masks, basis, table) ^ offset)
     rows = np.zeros((0, n_words(c.n)), dtype=np.uint64)
     for block in _sweep(c, budget):
         # the first block is deduped without a copy: it is a sweep's largest array

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .bitvec import BitVector, concat
@@ -43,13 +43,14 @@ CPLZ = ConstrainedPolyLogicalZonotope
 MODES = (EXACT, MINKOWSKI, "lz")
 
 
-def _per_step(inputs, steps: int) -> list:
-    """One input map per step: a list gives its first ``steps`` maps, one map is reused."""
+def _per_step(inputs, steps: int) -> Iterable:
+    """One input map per step: a list gives its first ``steps`` maps, one map is
+    reused, yielded ``steps`` times without building a list."""
     if isinstance(inputs, list):
         if len(inputs) < steps:
             raise ValueError(f"{len(inputs)} input maps given but {steps} steps requested")
         return inputs[:steps]
-    return [inputs or {}] * steps
+    return itertools.repeat(inputs or {}, steps)
 
 
 def _check_bindings(kind, declared, bound):
@@ -81,10 +82,10 @@ class ReachProblem:
         _check_bindings("initial", self.net.states, self.init)
         maps = self.inputs_for_steps()
         # a reused map is one map: checked once, not once per step
-        for step_inputs in maps if isinstance(self.inputs, list) else maps[:1]:
+        for step_inputs in maps if isinstance(self.inputs, list) else itertools.islice(maps, 1):
             _check_bindings("input", self.net.inputs, step_inputs)
 
-    def inputs_for_steps(self) -> list[dict[str, CPLZ]]:
+    def inputs_for_steps(self) -> Iterable[dict[str, CPLZ]]:
         return _per_step(self.inputs, self.steps)
 
 

@@ -178,15 +178,6 @@ def _align(*sets: CPLZ) -> tuple:
     return ids, Es, Rs
 
 
-def merge_id(c1: CPLZ, c2: CPLZ) -> tuple[CPLZ, CPLZ]:
-    """Both operands over the union of their id vectors (see ``_align``); c1
-    itself when c2 adds no id."""
-    ids, (E1, E2), (R1, R2) = _align(c1, c2)
-    p = len(ids)
-    a2 = CPLZ(c2.c, c2.G, BitMatrix(p, E2), c2.A, c2.b, BitMatrix(p, R2), ids)
-    return (c1 if p == c1.p else CPLZ(c1.c, c1.G, BitMatrix(p, E1), c1.A, c1.b, BitMatrix(p, R1), ids)), a2
-
-
 def _constraints(sets: Sequence[CPLZ], Rs: Sequence[np.ndarray]) -> tuple:
     """(A, b, R words) of the operands' constraints: one block per operand
     that has some, composed only when two or more do."""

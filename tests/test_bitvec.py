@@ -12,6 +12,7 @@ from logiczono.bitvec import (
     complement,
     concat,
     elementwise_gate,
+    gf2_basis,
     hconcat,
     pack_bool_rows,
     pad_mask,
@@ -181,6 +182,54 @@ def test_unique_rows_matches_np_unique(n):
         distinct = BitMatrix.from_bool(rng.random((n, int(rng.integers(1, 8)))) < 0.5).data
         rows = distinct[rng.integers(0, distinct.shape[0], size=int(rng.integers(0, 40)))]
         assert np.array_equal(_unique_rows(rows.copy()), np.unique(rows, axis=0))
+
+
+def _ints(words):
+    """Packed rows as plain ints, bit i of a row at position i."""
+    return [sum(int(w) << 64 * k for k, w in enumerate(row)) for row in words]
+
+
+def _reduce(x, pivots):
+    """x reduced against a {top bit: row} echelon basis (plain ints)."""
+    while x and x.bit_length() - 1 in pivots:
+        x ^= pivots[x.bit_length() - 1]
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 63, 64, 65, 130]),
+    k=st.integers(0, 200),
+    spanning=st.integers(0, 24),
+)
+def test_gf2_basis_is_the_reduced_basis_of_the_span(seed, n, k, spanning):
+    # k rows in the span of a few random vectors, so duplicate and zero rows occur
+    rng = np.random.default_rng(seed)
+    gens = rng.integers(0, 2, size=(spanning, n))
+    coef = rng.integers(0, 2, size=(k, spanning)) * (rng.random((k, 1)) < 0.9)
+    words = pack_bool_rows((coef @ gens) % 2)
+    basis = gf2_basis(words)
+    assert basis.shape[1] == words.shape[1]
+
+    pivots = {}  # the plain-int reference elimination
+    for x in _ints(words):
+        x = _reduce(x, pivots)
+        if x:
+            pivots[x.bit_length() - 1] = x
+    got = _ints(basis)
+    assert len(got) == len(pivots) and not any(_reduce(x, pivots) for x in got)
+    tops = [x.bit_length() - 1 for x in got]
+    assert tops == sorted(pivots) and all(bool(y >> t & 1) == (y == x) for x, t in zip(got, tops) for y in got)
+
+    # one basis per span: shuffled, duplicated and recombined rows give it again
+    assert np.array_equal(gf2_basis(words[rng.permutation(k)]), basis)
+    assert np.array_equal(gf2_basis(np.concatenate([words, words[rng.integers(0, k, size=k)]])), basis)
+    mixed = words.copy()
+    for i, j in rng.integers(0, max(k, 1), size=(2 * k, 2)):
+        if i != j:
+            mixed[i] ^= mixed[j]
+    assert np.array_equal(gf2_basis(mixed), basis)
 
 
 # row counts on both sides of the word boundaries

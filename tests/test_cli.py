@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import logiczono
 from logiczono import sets
 from logiczono.bitvec import BitVector
 from logiczono.cli import build_parser, main
@@ -413,3 +414,12 @@ def test_readme_usage_matches_the_parser():
             listed = value.split("|") if "|" in value else None
             choices = options[flag].choices
             assert listed == (list(choices) if choices else None), (command, flag)
+
+
+def test_readme_library_sketch_runs_and_every_export_resolves():
+    # the README's "Library sketch" block runs as written, and every name the
+    # package exports exists, so a stale export or sketch import fails here
+    section = README.read_text().split("## Library sketch", 1)[1]
+    code = section.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(code, f"{README.name} (Library sketch)", "exec"), {})
+    assert [name for name in logiczono.__all__ if not hasattr(logiczono, name)] == []

@@ -88,24 +88,25 @@ def test_budget_validation():
         EnumerationBudget(max_factors=64)
 
 
-def test_affine_sets_skip_the_sweep(alloc):
-    # identity exponents: enumerable through the GF(2) span even past the cap
-    h = 70
-    rng = np.random.default_rng(9)
+@pytest.mark.parametrize("n", [6, 64, 65, 130])
+def test_affine_sets_skip_the_sweep(alloc, n):
+    # identity exponents over more factors than the budget: listed through the
+    # GF(2) basis, never swept; at n = 6 the generators are dependent
+    h = 12
+    rng = np.random.default_rng(n)
     lz = CPLZ.lz(
-        BitVector.from_bits(rng.integers(0, 2, size=6)),
-        BitMatrix.from_bool(rng.integers(0, 2, size=(6, h)).astype(bool)),
+        BitVector.from_bits(rng.integers(0, 2, size=n)),
+        BitMatrix.from_bool(rng.integers(0, 2, size=(n, h)).astype(bool)),
         alloc,
     )
-    assert lz.p == h
-    span = {lz.c.to01()}
-    for j in range(h):
-        g = lz.G.column(j)
-        span |= {format(int(x, 2) ^ int(g.to01(), 2), "06b") for x in span}
-    pts = enumerate_points(lz)
-    assert set(pts.to_bitstrings()) == span
-    assert len(pts) == count_points(lz) <= 2 ** 6
-    assert not is_empty(lz)
+    budget = EnumerationBudget(max_factors=h // 2)
+    span = {int(lz.c.to01(), 2)}
+    for g in lz.G.columns():
+        span |= {x ^ int(g.to01(), 2) for x in span}
+    pts = enumerate_points(lz, budget)
+    assert {int(x, 2) for x in pts.to_bitstrings()} == span
+    assert len(pts) == count_points(lz, budget) <= 2 ** min(n, h)
+    assert not is_empty(lz, budget)
 
 
 def test_is_empty_cases(alloc):

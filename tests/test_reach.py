@@ -94,6 +94,13 @@ def test_per_step_input_maps(alloc):
     res = reach(prob, alloc=alloc)
     assert enumerate_points(res.joint(1)) == set01(["1"])
     assert enumerate_points(res.joint(2)) == set01(["0"])
+    # a list is cut to the horizon and must cover it; one map is the same object every step
+    init = {"b": CPLZ.singleton(BitVector.from01("0"))}
+    assert list(ReachProblem(net=net, init=init, inputs=[step1, step2], steps=1).inputs_for_steps()) == [step1]
+    with pytest.raises(ValueError, match="2 input maps given but 3 steps requested"):
+        ReachProblem(net=net, init=init, inputs=[step1, step2], steps=3)
+    reused = list(ReachProblem(net=net, init=init, inputs=step1, steps=5).inputs_for_steps())
+    assert len(reused) == 5 and all(m is step1 for m in reused)
 
 
 def test_problem_validation(alloc):

@@ -10,6 +10,7 @@ from logiczono.points import PointSet, enumerate_points
 from logiczono.sets import (
     ConstrainedPolyLogicalZonotope as CPLZ,
     IdAllocator,
+    _align,
     apply_gate,
     canonicalize,
     drop_inert_ids,
@@ -18,7 +19,6 @@ from logiczono.sets import (
     intersect,
     intersect_overapprox_lz,
     lz_flatten,
-    merge_id,
     mink_and,
     mink_xor,
     negate,
@@ -55,24 +55,24 @@ def test_unique_ids_monotone():
     assert alloc.fresh(0) == []
 
 
-def test_merge_id_identical(alloc):
+def test_align_keeps_identical_ids(alloc):
     a = random_cplz(np.random.default_rng(0), IdAllocator(), n=2)
     b = CPLZ(a.c, a.G, a.E, a.A, a.b, a.R, a.id)
-    a2, b2 = merge_id(a, b)
-    assert a2.id == b2.id == a.id
-    assert a2.E == a.E and b2.E == b.E
+    ids, (E1, E2), (R1, R2) = _align(a, b)
+    assert ids == a.id
+    assert E1 is a.E.data and E2 is b.E.data and R1 is a.R.data and R2 is b.R.data
 
 
-def test_merge_id_disjoint(alloc):
+def test_align_disjoint_ids(alloc):
     x = two_valued(alloc)  # id [1]
     y = two_valued(alloc)  # id [2]
-    x2, y2 = merge_id(x, y)
-    assert list(x2.id) == [1, 2] and list(y2.id) == [1, 2]
-    assert x2.E.column(0).to01() == "10"
-    assert y2.E.column(0).to01() == "01"
+    ids, (E1, E2), _ = _align(x, y)
+    assert list(ids) == [1, 2]
+    assert BitMatrix(2, E1).column(0).to01() == "10"
+    assert BitMatrix(2, E2).column(0).to01() == "01"
 
 
-def test_merge_id_overlapping_order_and_points():
+def test_align_overlapping_ids_keeps_the_points():
     # ids [1,3] and [3,2] merge to [1,3,2], point sets untouched
     rng = np.random.default_rng(5)
     a1 = IdAllocator()
@@ -84,10 +84,11 @@ def test_merge_id_overlapping_order_and_points():
     while y.p != 2:
         y = random_cplz(rng, a1, n=3, p_max=2)
     y = CPLZ(y.c, y.G, y.E, y.A, y.b, y.R, [3, 2])
-    x2, y2 = merge_id(x, y)
-    assert list(x2.id) == [1, 3, 2]
-    assert set(enumerate_points(x2).to_bitstrings()) == naive_enumerate(x)
-    assert set(enumerate_points(y2).to_bitstrings()) == naive_enumerate(y)
+    ids, Es, Rs = _align(x, y)
+    assert list(ids) == [1, 3, 2]
+    for z, E, R in zip((x, y), Es, Rs):
+        z2 = CPLZ(z.c, z.G, BitMatrix(3, E), z.A, z.b, BitMatrix(3, R), ids)
+        assert set(enumerate_points(z2).to_bitstrings()) == naive_enumerate(z)
 
 
 ID_RELATIONS = ("identical", "permuted", "prefix", "disjoint", "partial", "c1_leads")
@@ -127,16 +128,16 @@ def _operand_over(rng, ids, constrained):
     relation=st.sampled_from(ID_RELATIONS),
     constrained=st.booleans(),
 )
-def test_merge_id_and_stack_place_rows_by_id_across_words(seed, p1, relation, constrained):
+def test_align_and_stack_place_rows_by_id_across_words(seed, p1, relation, constrained):
     rng = np.random.default_rng(seed)
     alloc = IdAllocator()
     id1 = alloc.fresh(p1)
     x = _operand_over(rng, id1, constrained)
     y = _operand_over(rng, _related_ids(rng, alloc, id1, relation), constrained)
-    x2, y2 = merge_id(x, y)
+    merged, Es, Rs = _align(x, y)
     joint = stack(x, y)
     ids = x.id + tuple(i for i in y.id if i not in x.id)
-    assert x2.id == y2.id == joint.id == ids
+    assert merged == joint.id == ids
 
     def placed(z, m):
         # bool reference keyed by id: z's row of each id at that id's merged row, foreign rows zero
@@ -145,12 +146,11 @@ def test_merge_id_and_stack_place_rows_by_id_across_words(seed, p1, relation, co
         for k, ident in enumerate(ids):
             if ident in by_id:
                 ref[k] = by_id[ident]
-        return BitMatrix.from_bool(ref)
+        return BitMatrix.from_bool(ref).data
 
-    for z, z2 in ((x, x2), (y, y2)):
-        assert (z2.c, z2.G, z2.A, z2.b) == (z.c, z.G, z.A, z.b)
-        assert z2.E == placed(z, z.E) and z2.R == placed(z, z.R)
-    both = lambda f: np.concatenate([placed(x, getattr(x, f)).data, placed(y, getattr(y, f)).data])
+    for z, E, R in zip((x, y), Es, Rs):
+        assert np.array_equal(E, placed(z, z.E)) and np.array_equal(R, placed(z, z.R))
+    both = lambda f: np.concatenate([placed(x, getattr(x, f)), placed(y, getattr(y, f))])
     assert np.array_equal(joint.E.data, both("E")) and np.array_equal(joint.R.data, both("R"))
 
 
