@@ -2,8 +2,7 @@
 
 Exit codes: 0 success/safe, 1 an UNSAFE step was found, 2 usage or parse
 error, 3 a budget exceeded: the enumeration budget, or the construction cap
-``sets.MAX_COLUMNS`` on one gate. LOGICZONO_MAX_FACTORS overrides the
-default enumeration budget; --max-factors overrides both.
+``sets.MAX_COLUMNS`` on one gate. --max-factors sets the enumeration budget.
 """
 
 from __future__ import annotations
@@ -26,19 +25,6 @@ from .sets import EXACT, CPLZ, IdAllocator, intersect, intersect_overapprox_lz, 
 from . import setio
 
 TIMING_REPS = 10  # median of this many runs, after one discarded warm-up
-
-
-def _budget_from(args) -> EnumerationBudget:
-    if args.max_factors is not None:
-        return EnumerationBudget(max_factors=args.max_factors)
-    env = os.environ.get("LOGICZONO_MAX_FACTORS")
-    if env:
-        try:
-            max_factors = int(env)
-        except ValueError:
-            raise ValueError(f"LOGICZONO_MAX_FACTORS must be an integer, got {env!r}") from None
-        return EnumerationBudget(max_factors=max_factors)
-    return EnumerationBudget(max_factors=DEFAULT_MAX_FACTORS)
 
 
 def _read_text(path: str) -> str:
@@ -90,15 +76,12 @@ def _median_time_ms(fn) -> float:
 def cmd_reach(args) -> int:
     net = parse_network(_read_text(args.net))
     alloc = IdAllocator()
-    budget = _budget_from(args)
+    budget = EnumerationBudget(args.max_factors)
 
     init_bindings = setio.load_bindings(_read_json(args.init), alloc)
+    input_bindings = None
     if args.inputs:
         input_bindings = setio.load_input_bindings(_read_json(args.inputs), alloc)
-    else:
-        if net.inputs:
-            raise ValueError("the network declares inputs; provide --inputs")
-        input_bindings = {}
 
     safety = None
     if args.unsafe:
@@ -185,7 +168,7 @@ def cmd_intersect(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     alloc = IdAllocator()
-    budget = _budget_from(args)
+    budget = EnumerationBudget(args.max_factors)
     records = []
 
     if args.a or args.b:
@@ -244,7 +227,7 @@ def cmd_intersect(args) -> int:
 
 def cmd_enumerate(args) -> int:
     alloc = IdAllocator()
-    budget = _budget_from(args)
+    budget = EnumerationBudget(args.max_factors)
     pts = enumerate_points(setio.load_set(_read_json(args.set), alloc), budget)
     _out(json.dumps(pts.to_bitstrings()))
     return 0
@@ -259,8 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generator-space logical set operations and boolean-network reachability.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand enumerates points, under one budget flag
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--max-factors", type=int, default=DEFAULT_MAX_FACTORS,
+                        help="enumeration budget in live factors")
 
-    p_reach = sub.add_parser("reach", help="run N-step reachability, optionally checking an unsafe set")
+    p_reach = sub.add_parser("reach", parents=[budget],
+                             help="run N-step reachability, optionally checking an unsafe set")
     p_reach.add_argument("--net", required=True, help="network description file")
     p_reach.add_argument("--init", required=True, help="JSON bindings for initial state sets")
     p_reach.add_argument("--inputs", help="JSON bindings for input sets (map, or per-step array)")
@@ -268,24 +256,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_reach.add_argument("--mode", choices=MODES, default=EXACT)
     p_reach.add_argument("--enumerate", action="store_true", help="report joint point counts per step")
     p_reach.add_argument("--unsafe", help='JSON {"state": NAME, "set": {...}}')
-    p_reach.add_argument("--max-factors", type=int, default=None)
     p_reach.add_argument("--json", help="write a machine-readable report here")
     p_reach.set_defaults(func=cmd_reach)
 
-    p_int = sub.add_parser("intersect", help="compare intersection routes on random or explicit sets")
+    p_int = sub.add_parser("intersect", parents=[budget],
+                           help="compare intersection routes on random or explicit sets")
     p_int.add_argument("--dim", type=int, default=5)
     p_int.add_argument("--gens", type=int, default=None, help="generators per operand (default dim-1)")
     p_int.add_argument("--seed", type=int, default=0)
     p_int.add_argument("--trials", type=int, default=1)
     p_int.add_argument("--a", help="explicit first operand (set-exchange JSON)")
     p_int.add_argument("--b", help="explicit second operand")
-    p_int.add_argument("--max-factors", type=int, default=None)
     p_int.add_argument("--json", help="write a machine-readable report here")
     p_int.set_defaults(func=cmd_intersect)
 
-    p_enum = sub.add_parser("enumerate", help="print the point set of a set-exchange file")
+    p_enum = sub.add_parser("enumerate", parents=[budget],
+                            help="print the point set of a set-exchange file")
     p_enum.add_argument("--set", required=True)
-    p_enum.add_argument("--max-factors", type=int, default=None)
     p_enum.set_defaults(func=cmd_enumerate)
 
     return parser

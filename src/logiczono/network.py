@@ -248,6 +248,8 @@ def parse_network(text: str) -> NetworkSpec:
             )
         updates[target] = expr
 
+    if not states:
+        raise NetParseError("a network needs at least one state")
     missing = [name for name, _ in states if name not in updates]
     if missing:
         raise NetParseError(f"missing update for state(s): {', '.join(missing)}")

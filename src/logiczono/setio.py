@@ -73,11 +73,6 @@ def set_to_json(s: CPLZ) -> dict:
     }
 
 
-def set_from_points(strings: list[str], alloc: IdAllocator) -> CPLZ:
-    """The exact set of a bitstring list (duplicates ignored)."""
-    return encode_points([BitVector.from01(v) for v in strings], alloc)
-
-
 def _reserve_ids(docs, alloc: IdAllocator) -> None:
     """Move alloc past every explicit id of the documents, so that no fresh id repeats one."""
     groups = (doc.get("id") for doc in docs if isinstance(doc, dict))
@@ -91,7 +86,9 @@ def load_set(doc, alloc: IdAllocator) -> CPLZ:
     if not isinstance(doc, dict):
         raise ValueError(f"a set must be a JSON object, got {type(doc).__name__}")
     if "points" in doc:
-        return set_from_points(_bitstrings(doc["points"], "points"), alloc)
+        # in listed order, not sorted: the first point is the center
+        points = _bitstrings(doc["points"], "points")
+        return encode_points([BitVector.from01(v) for v in points], alloc)
     kind = doc.get("kind")
     if kind not in ("lz", "plz", "cplz"):
         raise ValueError(f"unknown set kind {kind!r}")

@@ -117,7 +117,7 @@ def random_network_setup(rng, alloc):
     """
     from logiczono.network import parse_network
     from logiczono.points import PointSet
-    from logiczono.setio import set_from_points
+    from logiczono.setio import load_set
 
     width = int(rng.integers(1, 3))
     n_states = int(rng.integers(1, 6 // width + 1))
@@ -150,8 +150,8 @@ def random_network_setup(rng, alloc):
 
     init_strs = {s: random_points(int(rng.integers(1, 3))) for s in states}
     input_strs = {u: random_points(int(rng.integers(1, 3))) for u in inputs}
-    init = {k: set_from_points(v, alloc) for k, v in init_strs.items()}
-    input_sets = {k: set_from_points(v, alloc) for k, v in input_strs.items()}
+    init = {k: load_set({"points": v}, alloc) for k, v in init_strs.items()}
+    input_sets = {k: load_set({"points": v}, alloc) for k, v in input_strs.items()}
     init_pts = {k: PointSet.from_bitstrings(v) for k, v in init_strs.items()}
     input_pts = {k: PointSet.from_bitstrings(v) for k, v in input_strs.items()}
     return net, init, input_sets, init_pts, input_pts

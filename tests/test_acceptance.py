@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from logiczono.bitvec import BitMatrix, BitVector, Gate
+from logiczono.cli import main
 from logiczono.network import parse_network
 from logiczono.points import (
     EnumerationBudget,
@@ -252,4 +253,33 @@ def test_criterion_8_safety_verdicts():
         "criterion 8: alternating network is UNSAFE/SAFE/UNSAFE with valid witnesses",
         pattern == [False, True, False] and witnesses_ok,
         f"verdicts {['UNSAFE' if not s else 'SAFE' for s in pattern]}",
+    )
+
+
+def test_criterion_9_and_variant_counts(capsys):
+    # the shipped circuit with B2 updated from B1 & B3, on the shipped 2-point
+    # bindings: its counts match exhaustive simulation, and at step 7 its
+    # B2 update passes the construction cap
+    run = ["reach", "--net", str(DATA / "circuit3x10_and.bn"), "--enumerate",
+           "--init", str(DATA / "circuit3x10_init.json"),
+           "--inputs", str(DATA / "circuit3x10_inputs.json")]
+    code = main([*run, "--steps", "6"])
+    counts = [int(line.split()[2]) for line in capsys.readouterr().out.splitlines()[1:]]
+
+    def point_bindings(name):
+        doc = read_json(str(DATA / name))
+        return {var: PointSet.from_bitstrings(set_doc["points"]) for var, set_doc in doc.items()}
+
+    net = parse_network((DATA / "circuit3x10_and.bn").read_text())
+    oracle = exhaustive_reach(
+        net, point_bindings("circuit3x10_init.json"), point_bindings("circuit3x10_inputs.json"), 6
+    )
+    refused = main([*run, "--steps", "7"])
+    err = capsys.readouterr().err
+    _report(
+        "criterion 9: AND variant counts match exhaustive simulation; step 7 exits 3",
+        code == 0 and counts == [48, 150, 191, 198, 200, 200]
+        and [len(p) for p in oracle] == [8, *counts]
+        and refused == 3 and "step 7 update of B2" in err,
+        f"counts {counts}, oracle {[len(p) for p in oracle]}, --steps 7 exit {refused}",
     )

@@ -16,7 +16,8 @@ from logiczono.cli import build_parser, main
 from logiczono.network import parse_network
 from logiczono.points import PointSet
 from logiczono.reach import MODES, ReachProblem, exhaustive_reach, reach
-from logiczono.sets import CPLZ
+from logiczono.sets import CPLZ, IdAllocator
+from logiczono.setio import load_bindings, read_json
 
 DATA = resources.files("logiczono") / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -157,6 +158,33 @@ def test_reach_report_names_the_mode_that_ran(tmp_path, toy_net, mode):
     doc = json.loads(report.read_text())
     assert doc["mode"] == mode
     assert "rep" not in doc
+
+
+def test_reach_missing_inputs_names_the_sets(capsys):
+    code = main([*CIRCUIT[:-2], "--steps", "2"])
+    assert code == 2
+    assert "missing input set(s): U1, U2, U3" in capsys.readouterr().err
+
+
+def test_reach_network_without_a_state_is_a_usage_error(tmp_path, capsys):
+    net = tmp_path / "no_state.bn"
+    net.write_text("input u[1]\n")
+    init = write(tmp_path / "init.json", {})
+    code = main(["reach", "--net", str(net), "--init", init, "--steps", "1", "--enumerate"])
+    assert code == 2
+    assert "a network needs at least one state" in capsys.readouterr().err
+
+
+def test_shipped_data_files_load():
+    files = list(DATA.iterdir())
+    nets = [f for f in files if f.name.endswith(".bn")]
+    bindings = [f for f in files if f.name.endswith(".json")]
+    assert {"circuit3x10.bn", "circuit3x10_and.bn"} <= {f.name for f in nets}
+    assert bindings
+    for f in nets:
+        parse_network(f.read_text())
+    for f in bindings:
+        assert load_bindings(read_json(str(f)), IdAllocator())
 
 
 def test_reach_example_circuit_minkowski(capsys):
@@ -319,21 +347,22 @@ def test_enumerate_budget_counts_only_live_factors(tmp_path, capsys):
     assert "25 factors exceed the enumeration cap of 24" in capsys.readouterr().err
 
 
-def test_enumerate_env_budget(tmp_path, capsys, monkeypatch):
+def test_max_factors_is_one_flag_with_one_default(tmp_path, toy_net, capsys):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        assert sub._option_string_actions["--max-factors"].default == 24, command
     ids = list(range(1, 7))
     doc = {"kind": "cplz", "n": 1, "c": "0", "G": ["1"], "E": ["1" * 6], "id": ids}
-    p = write(tmp_path / "p6.json", doc)
-    monkeypatch.setenv("LOGICZONO_MAX_FACTORS", "5")
-    assert main(["enumerate", "--set", p]) == 3
-    monkeypatch.setenv("LOGICZONO_MAX_FACTORS", "10")
-    assert main(["enumerate", "--set", p]) == 0
-
-
-def test_env_budget_must_be_an_integer(tmp_path, toy_net, capsys, monkeypatch):
+    p6 = write(tmp_path / "p6.json", doc)
+    assert main(["enumerate", "--set", p6, "--max-factors", "5"]) == 3
+    assert main(["enumerate", "--set", p6, "--max-factors", "10"]) == 0
     init = write(tmp_path / "init.json", {"b": {"points": ["0"]}})
-    monkeypatch.setenv("LOGICZONO_MAX_FACTORS", "abc")
-    assert main(["reach", "--net", toy_net, "--init", init, "--steps", "1", "--enumerate"]) == 2
-    assert "LOGICZONO_MAX_FACTORS must be an integer, got 'abc'" in capsys.readouterr().err
+    capsys.readouterr()
+    for flag, message in (("0", "max_factors must be positive"), ("64", "at most 63 factors")):
+        for args in (["enumerate", "--set", p6], ["intersect", "--dim", "3"],
+                     ["reach", "--net", toy_net, "--init", init, "--steps", "1"]):
+            assert main([*args, "--max-factors", flag]) == 2, (args, flag)
+            assert message in capsys.readouterr().err
 
 
 def test_intersect_random_trials(tmp_path, capsys):

@@ -77,6 +77,12 @@ def test_missing_update():
         parse_network("state a[1], b[1]\nnext a = a\n")
 
 
+@pytest.mark.parametrize("text", ["", "input u[1]\n"])
+def test_network_needs_a_state(text):
+    with pytest.raises(NetParseError, match="a network needs at least one state"):
+        parse_network(text)
+
+
 def test_update_target_must_be_state():
     with pytest.raises(UndeclaredVariable):
         parse_network("state a[1]\ninput u[1]\nnext u = a\nnext a = a\n")

@@ -18,10 +18,13 @@ from logiczono.reach import (
 )
 from logiczono.sets import ConstrainedPolyLogicalZonotope as CPLZ
 from logiczono.sets import IdAllocator, canonicalize, drop_inert_ids
-from logiczono.setio import load_bindings, read_json
-from logiczono.setio import set_from_points as points_set
+from logiczono.setio import load_bindings, load_set, read_json
 from conftest import random_network_setup as _random_network_setup
 from conftest import same_set
+
+
+def points_set(strings, alloc):
+    return load_set({"points": strings}, alloc)
 
 
 def set01(strings):
@@ -350,16 +353,30 @@ def test_reach_without_an_allocator_keeps_input_ids_fresh(alloc):
     assert [res.size(k) for k in range(2)] == [2, 2]
 
 
-def test_reach_leaves_no_cyclic_garbage():
+def _shipped_demo(steps: int, alloc) -> ReachProblem:
     data = resources.files("logiczono") / "data"
-    net = parse_network((data / "circuit3x10.bn").read_text())
-    alloc = IdAllocator()
-    prob = ReachProblem(
-        net=net,
+    return ReachProblem(
+        net=parse_network((data / "circuit3x10.bn").read_text()),
         init=load_bindings(read_json(data / "circuit3x10_init.json"), alloc),
         inputs=load_bindings(read_json(data / "circuit3x10_inputs.json"), alloc),
-        steps=5,
+        steps=steps,
     )
+
+
+def test_shipped_demo_joint_shapes_stay_bounded(alloc):
+    # an encoding change that inflates the sets fails here: point lists
+    # encoded in sorted rather than listed order (another center) grow the
+    # step-5 joint h from 574 to 984 and the step-8 one from 10520 to 21502
+    result = reach(_shipped_demo(8, alloc), alloc=alloc)
+    shapes = [(result.joint(k).h, result.joint(k).p) for k in range(9)]
+    bounds = [3, 14, 38, 94, 230, 574, 1468, 3874, 10520]
+    assert all(h <= bound for (h, _), bound in zip(shapes, bounds)), shapes
+    assert [p for _, p in shapes] == [3 * k + 3 for k in range(9)]
+
+
+def test_reach_leaves_no_cyclic_garbage():
+    alloc = IdAllocator()
+    prob = _shipped_demo(5, alloc)
     gc.collect()
     gc.disable()
     try:

@@ -9,7 +9,6 @@ from logiczono.setio import (
     load_bindings,
     load_input_bindings,
     load_set,
-    set_from_points,
     set_to_json,
 )
 from conftest import naive_enumerate, random_cplz, same_set
@@ -124,38 +123,39 @@ def test_lz_and_plz_documents_enumerate_exactly(doc):
 
 
 def test_points_shorthand_pair(alloc):
-    z = set_from_points(["1001", "0110"], alloc)
+    z = load_set({"points": ["1001", "0110"]}, alloc)
     assert z.p == 1
+    assert z.c.to01() == "1001"  # the first listed point, not the least
     assert enumerate_points(z) == PointSet.from_bitstrings(["1001", "0110"])
 
 
 def test_points_shorthand_affine_quad(alloc):
     quad = ["00", "01", "10", "11"]
-    z = set_from_points(quad, alloc)
+    z = load_set({"points": quad}, alloc)
     assert z.p == 2
     assert enumerate_points(z) == PointSet.from_bitstrings(quad)
 
 
 def test_points_shorthand_singleton(alloc):
-    z = set_from_points(["111"], alloc)
+    z = load_set({"points": ["111"]}, alloc)
     assert z.h == 0 and z.p == 0
 
 
 def test_points_shorthand_non_affine_is_one_set(alloc):
     three = ["00", "01", "10"]
-    z = set_from_points(three, alloc)
+    z = load_set({"points": three}, alloc)
     assert isinstance(z, CPLZ) and z.p == 2 and z.m == 0
     assert enumerate_points(z) == PointSet.from_bitstrings(three)
 
 
 def test_points_shorthand_dedup(alloc):
-    z = set_from_points(["01", "01"], alloc)
+    z = load_set({"points": ["01", "01"]}, alloc)
     assert z.h == 0
 
 
 def test_points_mixed_lengths_rejected(alloc):
     with pytest.raises(ValueError):
-        set_from_points(["0", "00"], alloc)
+        load_set({"points": ["0", "00"]}, alloc)
 
 
 def test_load_bindings(alloc):
