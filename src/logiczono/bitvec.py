@@ -161,24 +161,37 @@ def _move_rows(words: np.ndarray, src: Sequence[int], dst: Sequence[int], nbits:
     """Zeroed packed rows of nbits bits that take bit src[k] of each row at bit dst[k].
 
     Splits (src, dst) into maximal runs that step by one on both sides within
-    one word on each side, found on plain ints, and moves each run with at
-    most one shift down, one mask and one shift up, skipping those it does
-    not need."""
+    one word on each side and moves each run with at most one shift down, one
+    mask and one shift up, skipping those it does not need. Sequences other
+    than ranges are split on plain ints. Two ranges move a block: its runs
+    break where either side enters a new word, found by arithmetic, and take
+    no mask, so bits of words past src land past dst or drop out of its last
+    word, and a block at offset 0 in as many words is ``words`` itself.
+    Callers move whole masked blocks, which hold no such bits, or a block
+    that ends the rows, whose padding they mask (``select_rows``)."""
+    n = len(src)
+    block = isinstance(src, range) and isinstance(dst, range) and src.step == dst.step == 1
+    if block and src.start == dst.start == 0 and words.shape[1] == n_words(nbits):
+        return words
     out = np.zeros((words.shape[0], n_words(nbits)), dtype=np.uint64)
     if words.shape[0] == 0:
         return out
-    bounds, ps, pd = [], -2, -2
-    for k, (s, d) in enumerate(zip(src, dst)):
-        if s != ps + 1 or d != pd + 1 or not (s % WORD_BITS and d % WORD_BITS):
-            bounds.append(k)
-        ps, pd = s, d
-    bounds.append(len(src))
+    if block:
+        firsts = (-src.start % WORD_BITS, -dst.start % WORD_BITS)
+        bounds = sorted({0, *(k for f in firsts for k in range(f, n, WORD_BITS))}) if n else []
+    else:
+        bounds, ps, pd = [], -2, -2
+        for k, (s, d) in enumerate(zip(src, dst)):
+            if s != ps + 1 or d != pd + 1 or not (s % WORD_BITS and d % WORD_BITS):
+                bounds.append(k)
+            ps, pd = s, d
+    bounds.append(n)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         (ws, s), (wd, d) = divmod(src[lo], WORD_BITS), divmod(dst[lo], WORD_BITS)
         run = words[:, ws]
         if s:
             run = run >> np.uint64(s)
-        if s + hi - lo < WORD_BITS:
+        if s + hi - lo < WORD_BITS and not block:
             run = run & np.uint64((1 << (hi - lo)) - 1)
         if d:
             run = run << np.uint64(d)
@@ -258,6 +271,16 @@ class BitMatrix:
         self.rows = rows
         self.data = data
 
+    @classmethod
+    def _of_masked(cls, rows: int, data: np.ndarray) -> "BitMatrix":
+        """Trust a (cols, n_words(rows)) uint64 payload whose padding bits are
+        already zero, as XOR, AND, OR and zeroed row moves of masked words leave
+        them: no copy, no mask."""
+        m = object.__new__(cls)
+        data.setflags(write=False)
+        m.rows, m.data = rows, data
+        return m
+
     @property
     def cols(self) -> int:
         return self.data.shape[0]
@@ -319,7 +342,7 @@ def hconcat(*mats: BitMatrix) -> BitMatrix:
     for m in mats[1:]:
         if m.rows != rows:
             raise DimensionError(f"row count mismatch: {m.rows} != {rows}")
-    return BitMatrix(rows, np.concatenate([m.data for m in mats], axis=0))
+    return BitMatrix._of_masked(rows, np.concatenate([m.data for m in mats], axis=0))
 
 
 def blkdiag(*mats: BitMatrix) -> BitMatrix:
@@ -328,7 +351,7 @@ def blkdiag(*mats: BitMatrix) -> BitMatrix:
     for m in mats:
         blocks.append(_move_rows(m.data, range(m.rows), range(off, off + m.rows), rows))
         off += m.rows
-    return BitMatrix(rows, np.concatenate(blocks))
+    return BitMatrix._of_masked(rows, np.concatenate(blocks))
 
 
 def concat(*vecs: BitVector) -> BitVector:
@@ -343,4 +366,6 @@ def concat(*vecs: BitVector) -> BitVector:
 
 def select_rows(m: BitMatrix, rows: Sequence[int]) -> BitMatrix:
     """The matrix of m's rows at the given indices, in that order."""
-    return BitMatrix(len(rows), _move_rows(m.data, rows, range(len(rows)), len(rows)))
+    words = _move_rows(m.data, rows, range(len(rows)), len(rows))
+    # a range of rows moves as a block, which carries m's rows past it into the padding
+    return BitMatrix(len(rows), words) if isinstance(rows, range) else BitMatrix._of_masked(len(rows), words)

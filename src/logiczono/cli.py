@@ -91,8 +91,15 @@ def cmd_reach(args) -> int:
         safety = SafetySpec(doc["state"], setio.load_set(doc["set"], alloc))
 
     problem = ReachProblem(net=net, init=init_bindings, inputs=input_bindings, steps=args.steps)
-    result = reach(problem, mode=args.mode, alloc=alloc, budget=budget)
-    times, n_steps = result.times, args.steps + 1
+    failure = None
+    try:
+        result = reach(problem, mode=args.mode, alloc=alloc, budget=budget)
+    except BudgetExceeded as exc:
+        if exc.partial is None:
+            raise
+        # a construction cap at step k: report steps 1..k-1, then fail
+        result, failure = exc.partial, exc
+    times, n_steps = result.times, len(result.steps)
     checking = safety is not None
     if checking:
         verdict = unsafe_checker(result, safety, alloc)
@@ -117,6 +124,8 @@ def cmd_reach(args) -> int:
         v0, w0 = _verdict_text(verdict(0))
         _out(f"step 0 (initial): {v0}" + (f" (witness {w0})" if w0 else ""))
         found_unsafe |= w0 is not None
+    if failure is not None:
+        raise failure
 
     if args.json:
         report = {

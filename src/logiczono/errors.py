@@ -7,7 +7,14 @@ class DimensionError(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """Point-domain enumeration would exceed the configured budget, or one gate
-    would build more columns than the construction cap ``sets.MAX_COLUMNS``."""
+    would build more columns than the construction cap ``sets.MAX_COLUMNS``.
+
+    ``partial`` is what was built before the failure, when the raiser has it:
+    ``reach`` passes the ``ReachResult`` of the steps before the failing one."""
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial
 
 
 class NetParseError(ValueError):

@@ -138,12 +138,15 @@ def reach(
     ``mode`` is one of ``MODES``. "exact" and "minkowski" run exact or
     Minkowski gates on constrained polynomial sets; "lz" runs Minkowski
     gates and flattens every set to logical-zonotope form, an
-    overapproximating run. Every set is normalized once, where it enters a
-    step (the initial sets, each step's fresh input copies) or leaves a
-    gate, so every state set, step 0 included, is in the run's normal
-    form. A gate over ``sets.MAX_COLUMNS`` fails naming the step and the
-    state. Nothing is enumerated here: the result keeps ``budget`` for its
-    joint counts (``ReachResult.size``) and for ``check_unsafe``.
+    overapproximating run. Every set is normalized once, where it enters
+    the run (the initial sets, a reused input map, or each step's copies
+    of a per-step input list) or leaves a gate, so every state set, step 0
+    included, is in the run's normal form; a step's time leaves out the
+    normalization of a reused map. A gate over ``sets.MAX_COLUMNS`` fails
+    naming the step and the state, and the ``BudgetExceeded`` carries the
+    steps built before it as ``partial``. Nothing is enumerated here: the
+    result keeps ``budget`` for its joint counts (``ReachResult.size``)
+    and for ``check_unsafe``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -162,17 +165,26 @@ def reach(
     result.steps.append(env)
     result.times.append(0.0)
 
-    for k, step_inputs in enumerate(problem.inputs_for_steps(), start=1):
+    if isinstance(problem.inputs, list):
+        step_maps, enter = problem.inputs_for_steps(), lambda s: normalize(refresh_ids(s, alloc))
+    else:
+        # a reused map is normalized once and takes fresh ids each step: the
+        # normal form depends on the order of a set's factor rows, not on ids
+        fixed = {name: normalize(s) for name, s in (problem.inputs or {}).items()}
+        step_maps, enter = itertools.repeat(fixed, problem.steps), lambda s: refresh_ids(s, alloc)
+
+    for k, step_inputs in enumerate(step_maps, start=1):
         t0 = time.perf_counter()
         bound = dict(env)
         for name, s in step_inputs.items():
-            bound[name] = normalize(refresh_ids(s, alloc))
+            bound[name] = enter(s)
         env = {}
         for name in problem.net.state_names:
             try:
                 env[name] = eval_expr_sets(problem.net.updates[name], bound, mode, alloc, normalize)
             except BudgetExceeded as exc:
-                raise BudgetExceeded(f"step {k} update of {name}: {exc}") from exc
+                msg = f"step {k} update of {name}: {exc}"
+                raise BudgetExceeded(msg, partial=result) from exc
         result.steps.append(env)
         result.times.append(time.perf_counter() - t0)
     return result

@@ -9,9 +9,13 @@ identity exponents over fresh ids as well it is a logical zonotope
 <c, G>, the XOR-subset combinations of G added to c.
 
 Every binary operation is one composition: ``_align`` puts the
-operands' exponent and constraint words over one merged id vector, so
-repeated occurrences of one set stay correlated, and the result carries
-the operands' constraints. The exact gates, ``stack`` and ``intersect``
+operands' exponent and constraint words over one merged id vector, in
+ascending id order, so repeated occurrences of one set stay correlated,
+and the result carries the operands' constraints. Ascending ids keep a
+canonical operand's exponent keys sorted in the merged rows, so a gate's
+columns come out in a few sorted runs; a gate whose operand 1 has only
+ids above operand 2's swaps its (symmetric) operands, so the newer
+factors sit in the high rows. The exact gates, ``stack`` and ``intersect``
 build their result from those words in one constructor call and differ
 only in their c, G and E (``intersect`` adds a coupling constraint on
 copies with fresh ids); a Minkowski gate is the exact one on such
@@ -23,6 +27,7 @@ immutable; operations are pure. Only IdAllocator mutates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np
@@ -161,20 +166,25 @@ CPLZ = ConstrainedPolyLogicalZonotope
 
 
 def _align(*sets: CPLZ) -> tuple:
-    """(ids, Es, Rs): the merged ids, every operand's ids in first-seen order,
-    and each operand's E and R words over them. Rows of a foreign id are
-    zero, so each point set is unchanged; an operand whose ids lead the
-    merged vector in order, in as many words, keeps its own words."""
-    ids = tuple(dict.fromkeys([i for s in sets for i in s.id]))
-    p, row = len(ids), {ident: k for k, ident in enumerate(ids)}
+    """(ids, Es, Rs): the operands' ids merged in ascending order, and each
+    operand's E and R words over them. Rows of a foreign id are zero, so
+    each point set is unchanged. An operand whose ids are a run of the
+    merged ids moves as one block, and one that leads them in as many
+    words keeps its own words. A row embedding that keeps the ids' order
+    keeps the order of the exponent keys, so the words of a canonical
+    operand with ascending ids stay sorted."""
+    ids = tuple(sorted({i for s in sets for i in s.id}))
+    p, row = len(ids), None
     Es, Rs = [], []
     for s in sets:
-        E, R = s.E.data, s.R.data
-        if s.id != ids[: s.p] or n_words(s.p) != n_words(p):
+        k = bisect_left(ids, s.id[0]) if s.p else 0
+        if s.id == ids[k : k + s.p]:
+            rows = range(k, k + s.p)
+        else:
+            row = row or {ident: j for j, ident in enumerate(ids)}
             rows = [row[i] for i in s.id]
-            E, R = _move_rows(E, range(s.p), rows, p), _move_rows(R, range(s.p), rows, p)
-        Es.append(E)
-        Rs.append(R)
+        Es.append(_move_rows(s.E.data, range(s.p), rows, p))
+        Rs.append(_move_rows(s.R.data, range(s.p), rows, p))
     return ids, Es, Rs
 
 
@@ -198,7 +208,8 @@ def _product(op, x1, x2, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """The word rows [x2 op m1 | for each row j of m2: x1 op m2[j], then every
     m1[i] op m2[j]], built in place. This j-major layout puts exponent
     columns in canonical order when both operands are canonical and m2's
-    factors all sit above m1's (operand 2's ids new to operand 1)."""
+    factors all sit above m1's (operand 2's ids above operand 1's), and
+    writes contiguous rows when m2 has one row."""
     h1, h2, w = m1.shape[0], m2.shape[0], m1.shape[1]
     out = np.empty((h1 + h2 * (h1 + 1), w), dtype=np.uint64)
     op(x2, m1, out=out[:h1])
@@ -228,8 +239,13 @@ def _gate(c1: CPLZ, c2: CPLZ, core: Gate, flip1=False, flip2=False, flip_out=Fal
     its composition with ``negate``. AND generators: x2*G1, then per column
     j of G2 x1*G2[j] and its products with every column of G1 (see
     ``_product``), for the input centers x; product columns take the OR of
-    the exponent columns, since alpha^a AND alpha^b == alpha^(a OR b)."""
+    the exponent columns, since alpha^a AND alpha^b == alpha^(a OR b).
+    Both cores are symmetric, so when all of operand 1's ids sit above
+    operand 2's the operands swap, flips with them: operand 2's factors
+    then sit above operand 1's, the layout ``_product`` keeps in order."""
     _require_same_dim(c1, c2)
+    if c1.p and c2.p and min(c1.id) > max(c2.id):
+        c1, c2, flip1, flip2 = c2, c1, flip2, flip1
     ids, (E1, E2), Rs = _align(c1, c2)
     x1 = ~c1.c.words if flip1 else c1.c.words
     x2 = ~c2.c.words if flip2 else c2.c.words
@@ -244,7 +260,8 @@ def _gate(c1: CPLZ, c2: CPLZ, core: Gate, flip1=False, flip2=False, flip_out=Fal
         c, E = x1 & x2, _product(np.bitwise_or, np.uint64(0), np.uint64(0), E1, E2)
     A, b, R = _constraints((c1, c2), Rs)
     c, p = BitVector(c1.n, ~c if flip_out else c), len(ids)
-    return CPLZ(c, BitMatrix(c1.n, G), BitMatrix(p, E), A, b, BitMatrix(p, R), ids)
+    trusted = BitMatrix._of_masked  # AND, OR and XOR of masked words
+    return CPLZ(c, trusted(c1.n, G), trusted(p, E), A, b, trusted(p, R), ids)
 
 
 def exact_xor(c1: CPLZ, c2: CPLZ) -> CPLZ:
@@ -296,8 +313,8 @@ def intersect(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
     ids, (E1, E2), Rs = _align(d1, d2)
     A, b, R = _constraints((d1, d2), Rs)
     A, b = blkdiag(A, hconcat(c1.G, c2.G)), concat(b, elementwise_gate(Gate.XOR, c1.c, c2.c))
-    p = len(ids)
-    return CPLZ(c1.c, c1.G, BitMatrix(p, E1), A, b, BitMatrix(p, np.concatenate([R, E1, E2])), ids)
+    p, trusted = len(ids), BitMatrix._of_masked
+    return CPLZ(c1.c, c1.G, trusted(p, E1), A, b, trusted(p, np.concatenate([R, E1, E2])), ids)
 
 
 def intersect_overapprox_lz(l1: CPLZ, l2: CPLZ, alloc: IdAllocator) -> CPLZ:
@@ -323,7 +340,9 @@ def canonicalize(c: CPLZ) -> CPLZ:
     exponent columns, increasing as packed integers (last word most
     significant), so a second call returns it unchanged. One-word exponent
     columns (1 <= p <= 64) already in that order, as gates emit them when
-    operand 2's ids are new to operand 1, skip the sort and the merge.
+    one operand's ids all sit above the other's, skip the sort and the
+    merge; other gate results arrive as a few sorted runs (see ``_align``),
+    which the stable sort merges cheaply.
     Constraints and ids are untouched; never applied implicitly.
     """
     if c.h == 0:
@@ -347,7 +366,8 @@ def canonicalize(c: CPLZ) -> CPLZ:
         payloads, keys = np.compress(keep, payloads, axis=0), np.compress(keep, keys, axis=0)
     if payloads is c.G.data:  # already in normal form
         return c
-    return CPLZ(center, BitMatrix(c.n, payloads), BitMatrix(c.p, keys), c.A, c.b, c.R, c.id)
+    trusted = BitMatrix._of_masked  # gathered and XORed masked words
+    return CPLZ(center, trusted(c.n, payloads), trusted(c.p, keys), c.A, c.b, c.R, c.id)
 
 
 def stack(*sets: CPLZ) -> CPLZ:
@@ -359,7 +379,7 @@ def stack(*sets: CPLZ) -> CPLZ:
     A, b, R = _constraints(sets, Rs)
     p, E = len(ids), np.concatenate(Es)
     c, G = concat(*(s.c for s in sets)), blkdiag(*(s.G for s in sets))
-    return CPLZ(c, G, BitMatrix(p, E), A, b, BitMatrix(p, R), ids)
+    return CPLZ(c, G, BitMatrix._of_masked(p, E), A, b, BitMatrix._of_masked(p, R), ids)
 
 
 def lz_flatten(c: CPLZ, alloc: IdAllocator) -> CPLZ:
@@ -388,8 +408,10 @@ def drop_inert_ids(c: CPLZ) -> CPLZ:
     Such a factor gates nothing and constrains nothing, so the point set
     is unchanged; keeping the rows only inflates enumeration budgets.
     """
-    used = np.bitwise_or.reduce(c.E.data, axis=0) | np.bitwise_or.reduce(c.R.data, axis=0)
-    if np.array_equal(used, pad_mask(c.p)):
+    used = np.bitwise_or.reduce(c.E.data, axis=0)
+    if c.q:
+        used |= np.bitwise_or.reduce(c.R.data, axis=0)
+    if used.tobytes() == pad_mask(c.p).tobytes():
         return c
     live = np.flatnonzero(unpack_rows(used[None, :], c.p)[0]).tolist()
     return ConstrainedPolyLogicalZonotope(

@@ -275,11 +275,14 @@ def test_criterion_9_and_variant_counts(capsys):
         net, point_bindings("circuit3x10_init.json"), point_bindings("circuit3x10_inputs.json"), 6
     )
     refused = main([*run, "--steps", "7"])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    kept = [int(line.split()[2]) for line in out.splitlines()[1:]]
     _report(
-        "criterion 9: AND variant counts match exhaustive simulation; step 7 exits 3",
+        "criterion 9: AND variant counts match exhaustive simulation; step 7 prints"
+        " rows 1-6 and exits 3",
         code == 0 and counts == [48, 150, 191, 198, 200, 200]
         and [len(p) for p in oracle] == [8, *counts]
-        and refused == 3 and "step 7 update of B2" in err,
-        f"counts {counts}, oracle {[len(p) for p in oracle]}, --steps 7 exit {refused}",
+        and refused == 3 and "step 7 update of B2" in err and kept == counts,
+        f"counts {counts}, oracle {[len(p) for p in oracle]}, --steps 7 exit {refused}"
+        f" after rows {kept}",
     )

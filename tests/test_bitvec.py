@@ -317,6 +317,24 @@ def test_row_moves_by_runs_match_bool_reference(seed, runs, cols):
     assert select_rows(BitMatrix.from_bool(a), src) == block
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=ROW_COUNTS, offset=ROW_COUNTS, cols=st.integers(0, 3))
+def test_block_moves_match_the_run_by_run_path(seed, rows, offset, cols):
+    # a whole masked block moved by two ranges, as blkdiag, concat and _align
+    # move it, equals the same move given as plain lists, bit for bit
+    rng = np.random.default_rng(seed)
+    block = BitMatrix.from_bool(rng.integers(0, 2, size=(rows, cols)).astype(bool))
+    nbits = offset + rows + int(rng.integers(0, 70))
+    src, dst = range(rows), range(offset, offset + rows)
+    moved = _move_rows(block.data, src, dst, nbits)
+    assert np.array_equal(moved, _move_rows(block.data, list(src), list(dst), nbits))
+    if offset == 0 and block.data.shape[1] == moved.shape[1]:
+        assert moved is block.data
+    # a range of a larger matrix's rows, as select_rows takes it
+    m = BitMatrix.from_bool(rng.integers(0, 2, size=(nbits, cols)).astype(bool))
+    assert select_rows(m, dst) == select_rows(m, list(dst)) == BitMatrix.from_bool(m.to_bool()[dst])
+
+
 def test_identity():
     eye = BitMatrix.identity(3)
     assert eye.column(0).to01() == "100"

@@ -196,12 +196,18 @@ def test_reach_example_circuit_minkowski(capsys):
     assert [(int(r[0]), int(r[2])) for r in rows] == [(1, 128), (2, 200)]
 
 
-def test_reach_construction_budget_exit(capsys, monkeypatch):
-    # with a cap of 200 columns, B3's NAND at step 5 (121 x 2 generators) is refused
+def test_reach_construction_budget_exit(tmp_path, capsys, monkeypatch):
+    # with a cap of 200 columns, B3's NAND at step 5 (121 x 2 generators) is
+    # refused; the rows of steps 1-4 are printed first, and no report is written
     monkeypatch.setattr(sets, "MAX_COLUMNS", 200)
-    code = main([*CIRCUIT, "--steps", "5"])
+    report = tmp_path / "r.json"
+    code = main([*CIRCUIT, "--steps", "5", "--enumerate", "--json", str(report)])
+    out, err = capsys.readouterr()
     assert code == 3
-    assert "step 5 update of B3: an AND of 121 x 2 generators" in capsys.readouterr().err
+    assert "step 5 update of B3: an AND of 121 x 2 generators" in err
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [(int(r[0]), int(r[2])) for r in rows] == [(1, 64), (2, 150), (3, 180), (4, 180)]
+    assert not report.exists()
 
 
 def test_reach_point_lists_single_run(tmp_path, capsys):

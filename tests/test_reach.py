@@ -384,3 +384,60 @@ def test_reach_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _normalized_inputs(monkeypatch, problem, mode):
+    """How many times reach normalizes each input set of problem (by its G,
+    which refresh_ids shares with every copy): counted at canonicalize in
+    the exact modes, at lz_flatten in mode lz."""
+    reach_mod = importlib.import_module("logiczono.reach")
+    name = "lz_flatten" if mode == "lz" else "canonicalize"
+    seen, fn = [], getattr(reach_mod, name)
+    monkeypatch.setattr(reach_mod, name, lambda s, *rest: (seen.append(s.G), fn(s, *rest))[1])
+    reach(problem, mode=mode)
+    maps = problem.inputs if isinstance(problem.inputs, list) else [problem.inputs]
+    given = {n: [m[n].G for m in maps] for n in maps[0]}
+    return {n: sum(any(g is G for G in Gs) for g in seen) for n, Gs in given.items()}
+
+
+@pytest.mark.parametrize("mode", ["exact", "minkowski", "lz"])
+def test_a_reused_input_map_is_normalized_once_per_run(monkeypatch, alloc, mode):
+    net = parse_network("state a[2]\ninput u[2], v[2]\nnext a = (a ^ u) & v\n")
+    init = {"a": points_set(["00", "11"], alloc)}
+    inputs = {"u": points_set(["01", "10"], alloc), "v": points_set(["11", "10", "01"], alloc)}
+    steps = 5
+    reused = ReachProblem(net=net, init=init, inputs=inputs, steps=steps)
+    assert _normalized_inputs(monkeypatch, reused, mode) == {"u": 1, "v": 1}
+    monkeypatch.undo()
+    listed = ReachProblem(net=net, init=init, inputs=[inputs] * steps, steps=steps)
+    assert _normalized_inputs(monkeypatch, listed, mode) == {"u": steps, "v": steps}
+
+
+@pytest.mark.parametrize("mode", ["exact", "minkowski", "lz"])
+def test_a_reused_input_map_builds_the_sets_of_a_per_step_list(alloc, mode):
+    # normalizing once and re-id'ing each step builds the sets that normalizing
+    # each step's fresh copy builds, field by field but for id values; exact
+    # joint counts equal exhaustive simulation, the other modes' contain it
+    rng = np.random.default_rng(83)
+    fields = lambda s: (s.c, s.G, s.E, s.A, s.b, s.R)
+    checked = 0
+    for _ in range(12):
+        net, init, input_sets, init_pts, input_pts = _random_network_setup(rng, alloc)
+        steps = 3 if mode == "exact" else 2
+        oracle = exhaustive_reach(net, init_pts, input_pts, steps)
+        runs = [
+            reach(ReachProblem(net=net, init=init, inputs=inputs, steps=steps), mode=mode)
+            for inputs in (input_sets, [input_sets] * steps)
+        ]
+        for k in range(steps + 1):
+            for name in net.state_names:
+                assert fields(runs[0].steps[k][name]) == fields(runs[1].steps[k][name])
+        try:
+            for k in range(steps + 1):
+                size = runs[0].size(k)
+                assert size == len(oracle[k]) if mode == "exact" else size >= len(oracle[k])
+                assert oracle[k].issubset(enumerate_points(runs[0].joint(k)))
+            checked += 1
+        except BudgetExceeded:  # minkowski joint sets can pass the sweep budget
+            continue
+    assert checked >= 6

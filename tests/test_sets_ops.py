@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logiczono.bitvec import BitMatrix, BitVector, Gate, _move_rows
+from logiczono.bitvec import BitMatrix, BitVector, Gate, _move_rows, pad_mask
 from logiczono.errors import DimensionError
 from logiczono.points import PointSet, enumerate_points
 from logiczono.sets import (
@@ -73,7 +73,7 @@ def test_align_disjoint_ids(alloc):
 
 
 def test_align_overlapping_ids_keeps_the_points():
-    # ids [1,3] and [3,2] merge to [1,3,2], point sets untouched
+    # ids [1,3] and [3,2] merge to [1,2,3], point sets untouched
     rng = np.random.default_rng(5)
     a1 = IdAllocator()
     x = random_cplz(rng, a1, n=3, p_max=2)
@@ -85,7 +85,7 @@ def test_align_overlapping_ids_keeps_the_points():
         y = random_cplz(rng, a1, n=3, p_max=2)
     y = CPLZ(y.c, y.G, y.E, y.A, y.b, y.R, [3, 2])
     ids, Es, Rs = _align(x, y)
-    assert list(ids) == [1, 3, 2]
+    assert list(ids) == [1, 2, 3]
     for z, E, R in zip((x, y), Es, Rs):
         z2 = CPLZ(z.c, z.G, BitMatrix(3, E), z.A, z.b, BitMatrix(3, R), ids)
         assert set(enumerate_points(z2).to_bitstrings()) == naive_enumerate(z)
@@ -111,10 +111,10 @@ def _related_ids(rng, alloc, id1, relation):
     return list(id1) + alloc.fresh(64 * (len(id1) // 64 + 1) - len(id1) + int(rng.integers(1, 4)))
 
 
-def _operand_over(rng, ids, constrained):
+def _operand_over(rng, ids, constrained, n=3):
     p, h = len(ids), int(rng.integers(0, 4))
     bits = lambda *shape: rng.integers(0, 2, size=shape).astype(bool)
-    c, G, E = BitVector.from_bits(bits(3)), BitMatrix.from_bool(bits(3, h)), BitMatrix.from_bool(bits(p, h))
+    c, G, E = BitVector.from_bits(bits(n)), BitMatrix.from_bool(bits(n, h)), BitMatrix.from_bool(bits(p, h))
     if not constrained:
         return CPLZ.unconstrained(c, G, E, ids)
     q = int(rng.integers(1, 3))
@@ -136,7 +136,7 @@ def test_align_and_stack_place_rows_by_id_across_words(seed, p1, relation, const
     y = _operand_over(rng, _related_ids(rng, alloc, id1, relation), constrained)
     merged, Es, Rs = _align(x, y)
     joint = stack(x, y)
-    ids = x.id + tuple(i for i in y.id if i not in x.id)
+    ids = tuple(sorted(set(x.id) | set(y.id)))
     assert merged == joint.id == ids
 
     def placed(z, m):
@@ -152,6 +152,67 @@ def test_align_and_stack_place_rows_by_id_across_words(seed, p1, relation, const
         assert np.array_equal(E, placed(z, z.E)) and np.array_equal(R, placed(z, z.R))
     both = lambda f: np.concatenate([placed(x, getattr(x, f)), placed(y, getattr(y, f))])
     assert np.array_equal(joint.E.data, both("E")) and np.array_equal(joint.R.data, both("R"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p1=st.sampled_from([0, 1, 63, 64, 65, 100, 130]),
+    relation=st.sampled_from(ID_RELATIONS),
+    constrained=st.booleans(),
+)
+def test_built_words_keep_their_padding_zero(seed, p1, relation, constrained):
+    # 70 bits and up to 130 ids per operand leave the last word of G, E and R
+    # partly padding; the operations wrap the words they build without masking
+    rng = np.random.default_rng(seed)
+    alloc = IdAllocator()
+    x = _operand_over(rng, alloc.fresh(p1), constrained, n=70)
+    y = _operand_over(rng, _related_ids(rng, alloc, list(x.id), relation), constrained, n=70)
+    built = [apply_gate(g, x, y, alloc, mode) for g in Gate for mode in ("exact", "minkowski")]
+    built += [stack(x, y), intersect(x, y, alloc)]
+    built += [canonicalize(s) for s in built] + [drop_inert_ids(s) for s in built]
+    for s in built:
+        for m in (s.G, s.E, s.A, s.R):
+            assert not (m.data & ~pad_mask(m.rows)).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 3, 65]),
+    starts=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+)
+def test_gates_give_one_result_in_either_operand_order(seed, n, starts):
+    # operands whose ids coincide, overlap or sit one above the other
+    rng = np.random.default_rng(seed)
+    a = random_cplz(rng, IdAllocator(starts[0]), n=n, h_max=3, p_max=4)
+    b = random_cplz(rng, IdAllocator(starts[1]), n=n, h_max=3, p_max=4)
+    pairs = [(z[:n], z[n:]) for z in naive_stacked_product([a, b])]
+    # constraint blocks follow the operand order, which a gate keeps unless it swaps
+    swaps = a.p and b.p and (min(a.id) > max(b.id) or min(b.id) > max(a.id))
+    one_order = not (a.m and b.m) or swaps
+    for gate in Gate:
+        ab, ba = (canonicalize(apply_gate(gate, x, y, IdAllocator(100), "exact")) for x, y in ((a, b), (b, a)))
+        assert (ab.c, ab.G, ab.E, ab.id) == (ba.c, ba.G, ba.E, ba.id)
+        assert not one_order or (ab.A, ab.b, ab.R) == (ba.A, ba.b, ba.R)
+        assert naive_enumerate(ab) == set().union(*(naive_gate(gate.value, {x}, {y}) for x, y in pairs))
+
+
+def test_an_input_or_a_state_comes_out_canonical(rng, alloc):
+    # U1 | B on the shipped circuit: a one-column input with an id above the
+    # state's, in either operand; the gate puts it second, so its columns
+    # come out in monomial order, and with no zero payload canonicalize keeps it
+    for _ in range(20):
+        state = canonicalize(random_cplz(rng, alloc, n=10, h_max=8, p_max=6, constrained=False))
+        if state.c == BitVector.ones(10):
+            state = negate(state)
+        u1 = CPLZ.lz(BitVector.zeros(10), BitMatrix.from_columns([BitVector.ones(10)]), alloc)
+        for x, y in ((u1, state), (state, u1)):
+            out = apply_gate(Gate.OR, x, y, alloc, "exact")
+            assert canonicalize(out) is out
+        noisy = CPLZ.lz(BitVector.from_bits(rng.integers(0, 2, size=10)), u1.G, alloc)
+        keys = [as_int(e) for e in apply_gate(Gate.OR, noisy, state, alloc, "exact").E.columns()]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
 # --- minkowski operations -----------------------------------------------------
