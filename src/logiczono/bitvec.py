@@ -203,9 +203,11 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """Distinct packed rows in ``np.unique(rows, axis=0)`` order (word 0 is the
     primary key): sorts the words and keeps each row unequal to its predecessor.
 
-    One-word rows are sorted in place, so callers pass an array they own:
-    ``PointSet`` its masked copy, ``issubset`` a concatenation,
-    ``enumerate_points`` its sweep block, ``lz_flatten`` a copy of G."""
+    One-word rows are sorted in place, in their own dtype (uint64 words, or
+    the uint32 words of a sweep block of at most 32 bits), so callers pass
+    an array they own: ``PointSet`` its masked copy, ``issubset`` a
+    concatenation, ``enumerate_points`` its sweep block, ``lz_flatten`` a
+    copy of G."""
     if rows.shape[0] == 0 or rows.shape[1] == 0:
         return rows[:1] if rows.shape[1] == 0 and rows.shape[0] else rows.copy()
     one_word = rows.shape[1] == 1

@@ -40,6 +40,12 @@ table in its output buffer and keeps the point of every admissible
 assignment in the block. It takes no cap on that count: the value table
 is built whole either way. A set without constraint columns builds no
 constraint table: all of its assignments are admissible, or none are.
+
+Masks are uint64 words. Payloads may be words of any unsigned type, the
+type of the table they are XORed into: the value table is ``out``, and
+the constraint table takes the type of ``bwords``. ``points._sweep``
+passes uint32 words for sets of at most 32 bits and constraint systems
+of at most 32 rows, so each pass and scatter moves half the bytes.
 """
 
 from __future__ import annotations
@@ -100,7 +106,7 @@ def sweep_chunk(start, stop, emasks, gwords, cwords, rmasks, awords, bwords, out
     if size <= 0 or size & (size - 1) or start % size:
         raise ValueError(f"[{start}, {stop}) is not an aligned power-of-two block")
     if rmasks.shape[0]:
-        acc = subset_xor(start, rmasks, awords, np.empty((size, bwords.shape[0]), dtype=np.uint64))
+        acc = subset_xor(start, rmasks, awords, np.empty((size, bwords.shape[0]), dtype=bwords.dtype))
         admissible = (acc == bwords).all(axis=1)
         del acc  # hold one full table at a time
         cnt = int(np.count_nonzero(admissible))

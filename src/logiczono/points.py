@@ -16,7 +16,10 @@ points, and the same subset-XOR transform lists them over r factors,
 one per basis row.
 Enumeration dedupes by sorting the packed words of the swept points in
 place (``bitvec._unique_rows``) and keeping each row that differs from
-its predecessor.
+its predecessor. A set of at most 32 bits sweeps and dedupes on uint32
+words (``_lanes``; so does a constraint system of at most 32 rows), half
+the bytes of the uint64 words, and only its distinct points are widened
+back to the uint64 words that ``PointSet`` and every set keep.
 """
 
 from __future__ import annotations
@@ -203,6 +206,12 @@ def _empty_by_constraints(c: CPLZ) -> bool:
     return c.q == 0 and c.m > 0 and bool(c.b.words.any())
 
 
+def _lanes(words: np.ndarray, nbits: int) -> np.ndarray:
+    """Packed words of nbits-bit rows in the sweep's lanes: uint32 when the
+    one word holds them (its high half is padding, so zero), else as given."""
+    return words.astype(np.uint32) if nbits <= 32 else words
+
+
 def _sweep(c: CPLZ, budget: EnumerationBudget):
     """Yield the points of the admissible assignments, one block of at most
     2^_CHUNK_BITS assignments at a time; points may repeat across blocks.
@@ -210,6 +219,8 @@ def _sweep(c: CPLZ, budget: EnumerationBudget):
     Inert factor rows are compacted away first, and only the factors left
     count against the budget. Within the budget (at most 63 factors) each
     packed column of E and R is one word, which is the column's factor mask.
+    The generator and constraint tables run on ``_lanes``, so the blocks of a
+    set of at most 32 bits are uint32 words.
     """
     d = drop_inert_ids(c)
     if d.p > budget.max_factors:
@@ -219,12 +230,12 @@ def _sweep(c: CPLZ, budget: EnumerationBudget):
         )
     emasks = np.bitwise_or.reduce(d.E.data, axis=1)  # the one word, or 0 when no factor is left
     rmasks = np.bitwise_or.reduce(d.R.data, axis=1)
+    G, center = _lanes(d.G.data, c.n), _lanes(d.c.words, c.n)
+    A, b = _lanes(d.A.data, d.m), _lanes(d.b.words, d.m)
     chunk = 1 << min(_CHUNK_BITS, d.p)
     for start in range(0, 1 << d.p, chunk):
-        out = np.empty((chunk, n_words(c.n)), dtype=np.uint64)
-        cnt = kernels.sweep_chunk(
-            start, start + chunk, emasks, d.G.data, d.c.words, rmasks, d.A.data, d.b.words, out
-        )
+        out = np.empty((chunk, n_words(c.n)), dtype=G.dtype)
+        cnt = kernels.sweep_chunk(start, start + chunk, emasks, G, center, rmasks, A, b, out)
         if cnt:
             yield out[:cnt]
 
@@ -257,7 +268,8 @@ def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointS
         rows = _unique_rows(np.concatenate([rows, block]) if rows.shape[0] else block)
         if rows.shape[0] > MAX_POINTS:
             raise BudgetExceeded(f"point set exceeds the cap of {MAX_POINTS}")
-    return PointSet._of_unique(c.n, rows)  # swept points are masked like c and G
+    # swept points are masked like c and G, and widening keeps their order
+    return PointSet._of_unique(c.n, rows.astype(np.uint64, copy=False))
 
 
 def count_points(c: CPLZ, budget: EnumerationBudget | None = None) -> int:
@@ -281,7 +293,7 @@ def witness_point(c: CPLZ, budget: EnumerationBudget | None = None) -> BitVector
     if span is not None:
         return BitVector(c.n, span[0])
     for block in _sweep(c, budget):
-        return BitVector(c.n, block[0])
+        return BitVector(c.n, block[0].astype(np.uint64))
     return None
 
 

@@ -184,7 +184,12 @@ def _align(*sets: CPLZ) -> tuple:
             row = row or {ident: j for j, ident in enumerate(ids)}
             rows = [row[i] for i in s.id]
         Es.append(_move_rows(s.E.data, range(s.p), rows, p))
-        Rs.append(_move_rows(s.R.data, range(s.p), rows, p))
+        R = s.R.data
+        if s.q:
+            R = _move_rows(R, range(s.p), rows, p)
+        elif R.shape[1] != n_words(p):  # no columns to move, only the width to set
+            R = np.zeros((0, n_words(p)), dtype=np.uint64)
+        Rs.append(R)
     return ids, Es, Rs
 
 

@@ -167,3 +167,62 @@ def test_sweep_without_constraint_columns():
             one_b[-1] = 1
             out[:] = 99
             assert kernels.sweep_chunk(0, 8, emasks, gwords, cwords, nothing, awords, one_b, out) == 0
+
+
+def _sweep_both_widths(start, size, emasks, gwords, cwords, rmasks, awords, bwords):
+    """(count, points) of sweep_chunk on the uint64 words and on the same words as uint32."""
+    results = []
+    for dtype in (np.uint64, np.uint32):
+        out = np.empty((size, gwords.shape[1]), dtype=dtype)
+        g, c, a, b = (x.astype(dtype) for x in (gwords, cwords, awords, bwords))
+        cnt = kernels.sweep_chunk(start, start + size, emasks, g, c, rmasks, a, b, out)
+        results.append((cnt, out[:cnt]))
+    return results
+
+
+@pytest.mark.parametrize("fold", range(kernels.FOLD_BITS + 1))
+def test_uint32_payloads_give_the_uint64_bits(fold):
+    # the packed words of sets of at most 32 bits, swept as uint32 (points._lanes):
+    # every fold width, blocks at 0 and past it, with and without constraint columns
+    rng = np.random.default_rng(fold)
+    p, h = 12, 512 >> fold
+    size = 1 << p
+    assert kernels._fold_width(h, size) == fold
+    emasks = rng.integers(0, 1 << (p + 1), size=h).astype(np.uint64)  # some bits above the block
+    gwords = rng.integers(0, 2**32, size=(h, 1), dtype=np.uint64)
+    cwords = rng.integers(0, 2**32, size=1, dtype=np.uint64)
+    for start in (0, size):
+        wide = kernels.subset_xor(start, emasks, gwords, np.empty((size, 1), dtype=np.uint64))
+        narrow = np.empty((size, 1), dtype=np.uint32)
+        kernels.subset_xor(start, emasks, gwords.astype(np.uint32), narrow)
+        assert narrow.dtype == np.uint32 and np.array_equal(narrow, wide.astype(np.uint32))
+
+        # q = 0: all admissible, or none when b is nonzero
+        no_r, no_a = np.zeros(0, dtype=np.uint64), np.zeros((0, 1), dtype=np.uint64)
+        for b in (0, 1 << 31):
+            (c64, p64), (c32, p32) = _sweep_both_widths(
+                start, size, emasks, gwords, cwords, no_r, no_a, np.array([b], dtype=np.uint64))
+            assert c64 == c32 == (0 if b else size)
+            assert p32.dtype == np.uint32 and np.array_equal(p32, p64.astype(np.uint32))
+
+        # sparse constraint columns (1/8 of the factor bits) over 32 rows,
+        # b taken from a witness assignment
+        q = 24
+        rmasks = np.bitwise_and.reduce(rng.integers(0, size, size=(3, q)), axis=0).astype(np.uint64)
+        awords = rng.integers(0, 2**32, size=(q, 1), dtype=np.uint64)
+        witness = np.uint64(int(rng.integers(0, size)))
+        bwords = np.bitwise_xor.reduce(awords[(rmasks & ~witness) == 0], axis=0)
+        (c64, p64), (c32, p32) = _sweep_both_widths(
+            start, size, emasks, gwords, cwords, rmasks, awords, bwords)
+        assert c64 == c32 and (start or c64 > 0)
+        assert p32.dtype == np.uint32 and np.array_equal(p32, p64.astype(np.uint32))
+
+
+def test_unaligned_block_rejected_on_uint32_lanes():
+    nothing = np.zeros(0, dtype=np.uint64)
+    out = np.zeros((4, 1), dtype=np.uint32)
+    args = (nothing, np.zeros((0, 1), dtype=np.uint32), np.zeros(1, dtype=np.uint32),
+            nothing, np.zeros((0, 1), dtype=np.uint32), np.zeros(1, dtype=np.uint32), out)
+    for start, stop in ((0, 3), (2, 6), (4, 4)):
+        with pytest.raises(ValueError):
+            kernels.sweep_chunk(start, stop, *args)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logiczono import points
 from logiczono.bitvec import BitMatrix, BitVector, Gate, elementwise_gate
 from logiczono.errors import BudgetExceeded, DimensionError
 from logiczono.points import (
@@ -15,6 +16,7 @@ from logiczono.points import (
     enumerate_points,
     is_empty,
     pointset_gate,
+    witness_point,
     _unique_rows,
 )
 from logiczono.sets import (
@@ -256,3 +258,83 @@ def test_encode_points_pairs_and_singletons(strings):
     assert z.G == BitMatrix.from_columns(gens, points[0].n)
     assert z.E == BitMatrix.identity(len(gens))
     assert z.p == len(gens)
+
+
+# --- the sweep's 32-bit lanes ------------------------------------------------
+
+
+def _all_ones_set(rng, alloc, n, m=0, p=5, h=5):
+    """A random set the sweep must list, with the all-ones point at alpha = 0.
+
+    The center is all ones and no exponent column is zero, so alpha = 0
+    gives the center; column 0 has degree 2, so the set is not affine.
+    With m > 0, b makes alpha = 0 admissible."""
+    E = rng.random((p, h)) < 0.4
+    E[0, :] = True
+    E[1, 0] = True
+    args = (BitVector.ones(n), BitMatrix.from_bool(rng.random((n, h)) < 0.5), BitMatrix.from_bool(E))
+    if not m:
+        return CPLZ.unconstrained(*args, alloc.fresh(p))
+    q = 3
+    A = rng.random((m, q)) < 0.5
+    A[m - 1, :] = True  # the top constraint row is in play
+    R = rng.random((p, q)) < 0.4
+    R[:, 0] = False  # a column active at alpha = 0
+    b = np.bitwise_xor.reduce(A[:, ~R.any(axis=0)], axis=1)
+    constraints = BitMatrix.from_bool(A), BitVector.from_bits(b), BitMatrix.from_bool(R)
+    return CPLZ(*args, *constraints, alloc.fresh(p))
+
+
+def _check_swept(z):
+    expected = naive_enumerate(z)
+    ps = enumerate_points(z)
+    assert set(ps.to_bitstrings()) == expected
+    assert count_points(z) == len(expected)
+    rows = ps.rows
+    assert rows.dtype == np.uint64 and rows.flags.c_contiguous
+    assert np.array_equal(rows, _struct_unique(rows))  # sorted and distinct
+    w = witness_point(z)
+    assert w.words.dtype == np.uint64
+    assert w.to01() in expected
+    return ps, w
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65])
+def test_sweep_lanes_match_naive_at_the_word_boundaries(alloc, n):
+    rng = np.random.default_rng(n)
+    for m in (0, 0, 2, 5):
+        z = _all_ones_set(rng, alloc, n, m=m)
+        ps, w = _check_swept(z)
+        # the all-ones point sets bit n - 1 and fills a 32-bit lane at n = 32
+        assert w == BitVector.ones(n) and BitVector.ones(n) in ps
+
+
+@pytest.mark.parametrize("m", [31, 32, 33])
+@pytest.mark.parametrize("n", [5, 32, 33])
+def test_sweep_lanes_match_naive_at_the_constraint_boundaries(alloc, n, m):
+    rng = np.random.default_rng(100 * n + m)
+    for _ in range(3):
+        z = _all_ones_set(rng, alloc, n, m=m)
+        assert z.m == m and z.q > 0
+        ps, w = _check_swept(z)
+        assert w == BitVector.ones(n)
+        # all-ones A columns XOR to all ones or all zeros, never to the top row alone
+        top = np.zeros(m, dtype=int)
+        top[m - 1] = 1
+        none = CPLZ(z.c, z.G, z.E, BitMatrix.from_bool(np.ones((m, z.q), dtype=bool)),
+                    BitVector.from_bits(top), z.R, z.id)
+        assert naive_enumerate(none) == set()
+        assert len(enumerate_points(none)) == count_points(none) == 0
+        assert witness_point(none) is None
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_sweep_lanes_merge_several_blocks(alloc, monkeypatch, n):
+    rng = np.random.default_rng(7 + n)
+    sets = [_all_ones_set(rng, alloc, n, m=m, p=6, h=8) for m in (0, 0, 32, 33)]
+    whole = [enumerate_points(z) for z in sets]
+    monkeypatch.setattr(points, "_CHUNK_BITS", 2)  # 16 blocks of 4 assignments
+    for z, ref in zip(sets, whole):
+        ps, w = _check_swept(z)
+        assert ps == ref and np.array_equal(ps.rows, ref.rows)
+        assert w == BitVector.ones(n)
