@@ -95,6 +95,16 @@ class BitVector:
         self.words = words
 
     @classmethod
+    def _of_masked(cls, n: int, words: np.ndarray) -> "BitVector":
+        """Trust n_words(n) uint64 words whose padding bits are already zero,
+        as XOR, AND and OR of masked words and row moves leave them: no copy,
+        no mask."""
+        v = object.__new__(cls)
+        words.setflags(write=False)
+        v.n, v.words = n, words
+        return v
+
+    @classmethod
     def zeros(cls, n: int) -> "BitVector":
         return cls(n, np.zeros(n_words(n), dtype=np.uint64))
 
@@ -154,48 +164,61 @@ def elementwise_gate(gate: Gate, a: BitVector, b: BitVector) -> BitVector:
 
 def complement(a: BitVector) -> BitVector:
     """Flip every bit; padding stays zero."""
-    return BitVector(a.n, ~a.words)
+    return BitVector._of_masked(a.n, a.words ^ pad_mask(a.n))
 
 
 def _move_rows(words: np.ndarray, src: Sequence[int], dst: Sequence[int], nbits: int) -> np.ndarray:
-    """Zeroed packed rows of nbits bits that take bit src[k] of each row at bit dst[k].
+    """Packed rows of nbits bits that hold bit src[k] of each row at bit dst[k]
+    and zeros elsewhere.
 
-    Splits (src, dst) into maximal runs that step by one on both sides within
-    one word on each side and moves each run with at most one shift down, one
-    mask and one shift up, skipping those it does not need. Sequences other
-    than ranges are split on plain ints. Two ranges move a block: its runs
-    break where either side enters a new word, found by arithmetic, and take
-    no mask, so bits of words past src land past dst or drop out of its last
-    word, and a block at offset 0 in as many words is ``words`` itself.
-    Callers move whole masked blocks, which hold no such bits, or a block
-    that ends the rows, whose padding they mask (``select_rows``)."""
-    n = len(src)
-    block = isinstance(src, range) and isinstance(dst, range) and src.step == dst.step == 1
-    if block and src.start == dst.start == 0 and words.shape[1] == n_words(nbits):
-        return words
-    out = np.zeros((words.shape[0], n_words(nbits)), dtype=np.uint64)
-    if words.shape[0] == 0:
-        return out
-    if block:
-        firsts = (-src.start % WORD_BITS, -dst.start % WORD_BITS)
-        bounds = sorted({0, *(k for f in firsts for k in range(f, n, WORD_BITS))}) if n else []
+    The runs of (src, dst), maximal stretches that step by one on both
+    sides, are found once by arithmetic: a step-one range has no break, any
+    other sequence breaks where its difference is not one. A run moves in
+    pieces that stay in one word on each side, each by at most one shift
+    and one mask. The mask is left out where the shift already clears every
+    bit outside the piece, or where the bits above it are the padding of a
+    source given as range(n), which callers pass masked and n rows high.
+    The first piece into a result word writes it, later ones OR into it,
+    and only words that no piece reaches are zeroed. A block at offset 0 in
+    as many words is ``words`` itself."""
+    n, nw = len(src), n_words(nbits)
+    whole = isinstance(src, range) and src.step == 1
+    if whole and isinstance(dst, range) and dst.step == 1:
+        if src.start == dst.start == 0 and words.shape[1] == nw:
+            return words
+        starts = [0] if n else []
     else:
-        bounds, ps, pd = [], -2, -2
-        for k, (s, d) in enumerate(zip(src, dst)):
-            if s != ps + 1 or d != pd + 1 or not (s % WORD_BITS and d % WORD_BITS):
-                bounds.append(k)
-            ps, pd = s, d
-    bounds.append(n)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        (ws, s), (wd, d) = divmod(src[lo], WORD_BITS), divmod(dst[lo], WORD_BITS)
-        run = words[:, ws]
-        if s:
-            run = run >> np.uint64(s)
-        if s + hi - lo < WORD_BITS and not block:
-            run = run & np.uint64((1 << (hi - lo)) - 1)
-        if d:
-            run = run << np.uint64(d)
-        out[:, wd] |= run
+        breaks = None
+        for side in (src, dst):
+            if not (isinstance(side, range) and side.step == 1):
+                side = np.asarray(side)
+                b = side[1:] - side[:-1] != 1
+                breaks = b if breaks is None else breaks | b
+        starts = [0, *(k + 1 for k in breaks.nonzero()[0].tolist())] if n else []
+    top = n if whole and src.start == 0 else -1
+    out = np.empty((words.shape[0], nw), dtype=np.uint64)
+    blank = [True] * nw
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        s, d, left = int(src[lo]), int(dst[lo]), hi - lo
+        while left:
+            (ws, so), (wd, do) = divmod(s, WORD_BITS), divmod(d, WORD_BITS)
+            take = min(left, WORD_BITS - so, WORD_BITS - do)
+            first, x = blank[wd], words[:, ws]
+            into = out[:, wd] if first else None
+            if so != do:
+                x = into = (np.right_shift if so > do else np.left_shift)(x, abs(so - do), out=into)
+            # the shift keeps source bits below the piece when both offsets
+            # are nonzero, and those above it when it ends inside both words
+            if min(so, do) or (max(so, do) + take < WORD_BITS and s + take != top):
+                x = np.bitwise_and(x, ((1 << take) - 1) << do, out=into)
+            if not first:
+                out[:, wd] |= x
+            elif x is not into:  # neither shifted nor masked
+                out[:, wd] = x
+            blank[wd] = False
+            s, d, left = s + take, d + take, left - take
+    if any(blank):
+        out[:, [w for w, b in enumerate(blank) if b]] = 0
     return out
 
 
@@ -276,8 +299,8 @@ class BitMatrix:
     @classmethod
     def _of_masked(cls, rows: int, data: np.ndarray) -> "BitMatrix":
         """Trust a (cols, n_words(rows)) uint64 payload whose padding bits are
-        already zero, as XOR, AND, OR and zeroed row moves of masked words leave
-        them: no copy, no mask."""
+        already zero, as XOR, AND, OR and row moves of masked words leave them:
+        no copy, no mask."""
         m = object.__new__(cls)
         data.setflags(write=False)
         m.rows, m.data = rows, data
@@ -363,7 +386,7 @@ def concat(*vecs: BitVector) -> BitVector:
     for v in vecs:
         words |= _move_rows(v.words[None, :], range(v.n), range(off, off + v.n), n)[0]
         off += v.n
-    return BitVector(n, words)
+    return BitVector._of_masked(n, words)
 
 
 def select_rows(m: BitMatrix, rows: Sequence[int]) -> BitMatrix:

@@ -176,6 +176,10 @@ def _intersection_routes(l1: CPLZ, l2: CPLZ, alloc: IdAllocator, budget):
 def cmd_intersect(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.dim < 1:
+        raise ValueError(f"--dim must be at least 1, got {args.dim}")
+    if args.gens is not None and args.gens < 0:
+        raise ValueError(f"--gens must be at least 0, got {args.gens}")
     alloc = IdAllocator()
     budget = EnumerationBudget(args.max_factors)
     records = []

@@ -21,13 +21,23 @@ only in their c, G and E (``intersect`` adds a coupling constraint on
 copies with fresh ids); a Minkowski gate is the exact one on such
 copies. The six gates are the XOR or AND core with complemented input
 and output centers, since NOT flips only a center. Every operation and
-normalizer works on the packed words of ``bitvec``. All values are
-immutable; operations are pure. Only IdAllocator mutates.
+normalizer works on the packed words of ``bitvec``.
+
+The public constructor checks shapes and ids and ``BitVector`` and
+``BitMatrix`` mask every word; a set from outside passes them once. The
+operations here build from parts that hold by construction, so they call
+the trusted ``CPLZ._of_parts``, ``BitVector._of_masked`` and
+``BitMatrix._of_masked`` and pay only for their arithmetic: ids are the
+merged tuple of ``_align``, fresh ids from an ``IdAllocator`` or a subset
+of checked ids, and words are XOR, AND, OR and row moves of masked words,
+with a complement taken as XOR with the pad mask, never ``~``. All values
+are immutable; operations are pure. Only IdAllocator mutates.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +70,8 @@ class IdAllocator:
     """Monotone source of factor identifiers; never reuses a value."""
 
     def __init__(self, start: int = 1):
+        if start < 1:
+            raise ValueError(f"factor ids must be positive, got start {start}")
         self._next = start
 
     def fresh(self, count: int) -> list[int]:
@@ -119,6 +131,16 @@ class ConstrainedPolyLogicalZonotope:
         self.R = R
         self.id = ids
 
+    @classmethod
+    def _of_parts(cls, c, G, E, A, b, R, ids: tuple) -> "ConstrainedPolyLogicalZonotope":
+        """Trust parts whose shapes agree and a tuple of distinct positive
+        ids, as the operations below build them from checked operands: ids
+        merged by ``_align``, handed out by an ``IdAllocator``, or a subset
+        of a set's own ids. No checks."""
+        z = object.__new__(cls)
+        z.c, z.G, z.E, z.A, z.b, z.R, z.id = c, G, E, A, b, R, ids
+        return z
+
     @property
     def n(self) -> int:
         return self.c.n
@@ -177,20 +199,29 @@ def _align(*sets: CPLZ) -> tuple:
     p, row = len(ids), None
     Es, Rs = [], []
     for s in sets:
-        k = bisect_left(ids, s.id[0]) if s.p else 0
-        if s.id == ids[k : k + s.p]:
-            rows = range(k, k + s.p)
+        own = s.id
+        k = bisect_left(ids, own[0]) if own else 0
+        if own == ids[k : k + len(own)]:
+            rows = range(k, k + len(own))
         else:
             row = row or {ident: j for j, ident in enumerate(ids)}
-            rows = [row[i] for i in s.id]
-        Es.append(_move_rows(s.E.data, range(s.p), rows, p))
+            rows = [row[i] for i in own]
+        Es.append(_move_rows(s.E.data, range(len(own)), rows, p))
         R = s.R.data
-        if s.q:
-            R = _move_rows(R, range(s.p), rows, p)
+        if len(R):
+            R = _move_rows(R, range(len(own)), rows, p)
         elif R.shape[1] != n_words(p):  # no columns to move, only the width to set
-            R = np.zeros((0, n_words(p)), dtype=np.uint64)
+            R = _no_columns(p)
         Rs.append(R)
     return ids, Es, Rs
+
+
+@lru_cache(maxsize=None)
+def _no_columns(rows: int) -> np.ndarray:
+    """The read-only words of a matrix with no columns, shared per row count."""
+    data = np.zeros((0, n_words(rows)), dtype=np.uint64)
+    data.setflags(write=False)
+    return data
 
 
 def _constraints(sets: Sequence[CPLZ], Rs: Sequence[np.ndarray]) -> tuple:
@@ -236,7 +267,7 @@ def mink_and(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
 
 def negate(c: CPLZ) -> CPLZ:
     """Pointwise NOT: flip the center, keep everything else (ids included)."""
-    return ConstrainedPolyLogicalZonotope(complement(c.c), c.G, c.E, c.A, c.b, c.R, c.id)
+    return CPLZ._of_parts(complement(c.c), c.G, c.E, c.A, c.b, c.R, c.id)
 
 
 def _gate(c1: CPLZ, c2: CPLZ, core: Gate, flip1=False, flip2=False, flip_out=False) -> CPLZ:
@@ -249,24 +280,26 @@ def _gate(c1: CPLZ, c2: CPLZ, core: Gate, flip1=False, flip2=False, flip_out=Fal
     operand 2's the operands swap, flips with them: operand 2's factors
     then sit above operand 1's, the layout ``_product`` keeps in order."""
     _require_same_dim(c1, c2)
-    if c1.p and c2.p and min(c1.id) > max(c2.id):
+    if c1.id and c2.id and min(c1.id) > max(c2.id):
         c1, c2, flip1, flip2 = c2, c1, flip2, flip1
     ids, (E1, E2), Rs = _align(c1, c2)
-    x1 = ~c1.c.words if flip1 else c1.c.words
-    x2 = ~c2.c.words if flip2 else c2.c.words
+    n, G1, G2 = c1.c.n, c1.G.data, c2.G.data
+    pad = pad_mask(n)  # complements stay masked: x ^ pad, never ~x
+    x1 = c1.c.words ^ pad if flip1 else c1.c.words
+    x2 = c2.c.words ^ pad if flip2 else c2.c.words
     if core is Gate.XOR:
-        c, G, E = x1 ^ x2, np.concatenate([c1.G.data, c2.G.data]), np.concatenate([E1, E2])
+        c, G, E = x1 ^ x2, np.concatenate([G1, G2]), np.concatenate([E1, E2])
     else:
-        cols = c1.h + c2.h + c1.h * c2.h
-        if cols > MAX_COLUMNS:
-            msg = f"an AND of {c1.h} x {c2.h} generators would build {cols} columns"
+        h1, h2 = len(G1), len(G2)
+        if h1 + h2 + h1 * h2 > MAX_COLUMNS:
+            msg = f"an AND of {h1} x {h2} generators would build {h1 + h2 + h1 * h2} columns"
             raise BudgetExceeded(f"{msg}, over the cap of {MAX_COLUMNS}")
-        G = _product(np.bitwise_and, x1, x2, c1.G.data, c2.G.data)
-        c, E = x1 & x2, _product(np.bitwise_or, np.uint64(0), np.uint64(0), E1, E2)
+        G = _product(np.bitwise_and, x1, x2, G1, G2)
+        c, E = x1 & x2, _product(np.bitwise_or, 0, 0, E1, E2)
     A, b, R = _constraints((c1, c2), Rs)
-    c, p = BitVector(c1.n, ~c if flip_out else c), len(ids)
+    c, p = BitVector._of_masked(n, c ^ pad if flip_out else c), len(ids)
     trusted = BitMatrix._of_masked  # AND, OR and XOR of masked words
-    return CPLZ(c, trusted(c1.n, G), trusted(p, E), A, b, trusted(p, R), ids)
+    return CPLZ._of_parts(c, trusted(n, G), trusted(p, E), A, b, trusted(p, R), ids)
 
 
 def exact_xor(c1: CPLZ, c2: CPLZ) -> CPLZ:
@@ -319,7 +352,7 @@ def intersect(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
     A, b, R = _constraints((d1, d2), Rs)
     A, b = blkdiag(A, hconcat(c1.G, c2.G)), concat(b, elementwise_gate(Gate.XOR, c1.c, c2.c))
     p, trusted = len(ids), BitMatrix._of_masked
-    return CPLZ(c1.c, c1.G, trusted(p, E1), A, b, trusted(p, np.concatenate([R, E1, E2])), ids)
+    return CPLZ._of_parts(c1.c, c1.G, trusted(p, E1), A, b, trusted(p, np.concatenate([R, E1, E2])), ids)
 
 
 def intersect_overapprox_lz(l1: CPLZ, l2: CPLZ, alloc: IdAllocator) -> CPLZ:
@@ -350,29 +383,34 @@ def canonicalize(c: CPLZ) -> CPLZ:
     which the stable sort merges cheaply.
     Constraints and ids are untouched; never applied implicitly.
     """
-    if c.h == 0:
-        return c
     keys, payloads = c.E.data, c.G.data
-    if not (keys.shape[1] == 1 and (keys[1:, 0] > keys[:-1, 0]).all()):
+    h, w = keys.shape
+    if h == 0:
+        return c
+    # per call, count_nonzero, tolist and the array methods cost less than
+    # ndarray.all and .any and the np.take and np.compress wrappers
+    if not (w == 1 and not np.count_nonzero(keys[1:, 0] <= keys[:-1, 0])):
         # lexsort is stable: columns with one key keep their order
-        order = np.lexsort(keys.T) if keys.shape[1] else np.arange(c.h)
-        keys, payloads = np.take(keys, order, axis=0), np.take(payloads, order, axis=0)
-        differs = (keys[1:] != keys[:-1]).any(axis=1)
-        if not differs.all():
-            first = np.flatnonzero(np.concatenate([[True], differs]))
+        order = np.lexsort(keys.T) if w else np.arange(h)
+        keys, payloads = keys.take(order, axis=0), payloads.take(order, axis=0)
+        first = np.empty(h, dtype=bool)  # the columns that start a key
+        first[0] = True
+        np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
+        if np.count_nonzero(first) < h:
+            first = first.nonzero()[0]
             payloads = np.bitwise_xor.reduceat(payloads, first, axis=0)
-            keys = np.take(keys, first, axis=0)
+            keys = keys.take(first, axis=0)
     center = c.c
-    if not keys[0].any():  # the constant monomial sorts first
-        center = BitVector(c.n, c.c.words ^ payloads[0])
+    if not any(keys[0].tolist()):  # the constant monomial sorts first
+        center = BitVector._of_masked(c.n, c.c.words ^ payloads[0])
         keys, payloads = keys[1:], payloads[1:]
     keep = payloads.any(axis=1)
-    if not keep.all():
-        payloads, keys = np.compress(keep, payloads, axis=0), np.compress(keep, keys, axis=0)
+    if np.count_nonzero(keep) < len(keep):
+        payloads, keys = payloads.compress(keep, axis=0), keys.compress(keep, axis=0)
     if payloads is c.G.data:  # already in normal form
         return c
     trusted = BitMatrix._of_masked  # gathered and XORed masked words
-    return CPLZ(center, trusted(c.n, payloads), trusted(c.p, keys), c.A, c.b, c.R, c.id)
+    return CPLZ._of_parts(center, trusted(c.n, payloads), trusted(c.p, keys), c.A, c.b, c.R, c.id)
 
 
 def stack(*sets: CPLZ) -> CPLZ:
@@ -384,7 +422,7 @@ def stack(*sets: CPLZ) -> CPLZ:
     A, b, R = _constraints(sets, Rs)
     p, E = len(ids), np.concatenate(Es)
     c, G = concat(*(s.c for s in sets)), blkdiag(*(s.G for s in sets))
-    return CPLZ(c, G, BitMatrix._of_masked(p, E), A, b, BitMatrix._of_masked(p, R), ids)
+    return CPLZ._of_parts(c, G, BitMatrix._of_masked(p, E), A, b, BitMatrix._of_masked(p, R), ids)
 
 
 def lz_flatten(c: CPLZ, alloc: IdAllocator) -> CPLZ:
@@ -404,7 +442,7 @@ def lz_flatten(c: CPLZ, alloc: IdAllocator) -> CPLZ:
 
 def refresh_ids(c: CPLZ, alloc: IdAllocator) -> CPLZ:
     """Same structure, brand-new factor ids: the copy is independent of the original."""
-    return ConstrainedPolyLogicalZonotope(c.c, c.G, c.E, c.A, c.b, c.R, alloc.fresh(c.p))
+    return CPLZ._of_parts(c.c, c.G, c.E, c.A, c.b, c.R, tuple(alloc.fresh(c.p)))
 
 
 def drop_inert_ids(c: CPLZ) -> CPLZ:
@@ -419,6 +457,5 @@ def drop_inert_ids(c: CPLZ) -> CPLZ:
     if used.tobytes() == pad_mask(c.p).tobytes():
         return c
     live = np.flatnonzero(unpack_rows(used[None, :], c.p)[0]).tolist()
-    return ConstrainedPolyLogicalZonotope(
-        c.c, c.G, select_rows(c.E, live), c.A, c.b, select_rows(c.R, live), [c.id[k] for k in live]
-    )
+    ids = tuple(c.id[k] for k in live)
+    return CPLZ._of_parts(c.c, c.G, select_rows(c.E, live), c.A, c.b, select_rows(c.R, live), ids)

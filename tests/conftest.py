@@ -75,13 +75,15 @@ def random_cplz(
     p_max: int = 5,
     m_max: int = 2,
     constrained: bool | None = None,
+    p: int | None = None,
 ) -> ConstrainedPolyLogicalZonotope:
     """Random set; constrained instances get b from a witness assignment so
     they are never trivially empty."""
     if n is None:
         n = int(rng.integers(1, n_max + 1))
     h = int(rng.integers(0, h_max + 1))
-    p = int(rng.integers(0, p_max + 1))
+    if p is None:
+        p = int(rng.integers(0, p_max + 1))
     c = BitVector.from_bits(rng.integers(0, 2, size=n))
     G = BitMatrix.from_bool(rng.integers(0, 2, size=(n, h)).astype(bool))
     E = BitMatrix.from_bool(rng.integers(0, 2, size=(p, h)).astype(bool))

@@ -299,14 +299,28 @@ def _run_positions(rng, lengths):
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 4), cols=st.integers(0, 3))
-def test_row_moves_by_runs_match_bool_reference(seed, runs, cols):
-    # a few contiguous runs at random starts on each side (up to 200 rows), so
-    # runs cross word boundaries on the source side, the destination side or both
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    runs=st.integers(1, 4),
+    cols=st.integers(0, 3),
+    width=st.sampled_from([None, 1, 63, 64, 65]),
+)
+def test_row_moves_by_runs_match_bool_reference(seed, runs, cols, width):
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(1, 36, size=runs)
-    src, src_rows = _run_positions(rng, lengths)
-    dst, dst_rows = _run_positions(rng, lengths)
+    if width is None:
+        # a few contiguous runs at random starts on each side (up to 200 rows), so
+        # runs cross word boundaries on the source side, the destination side or both
+        lengths = rng.integers(1, 36, size=runs)
+        src, src_rows = _run_positions(rng, lengths)
+        dst, dst_rows = _run_positions(rng, lengths)
+    else:
+        # most rows of a width-row result, its top row and row 63 included, so
+        # runs end at bit 63 and at the top bit; the same runs on the source side
+        # end at bit 63 too, and random rows follow them in the source words
+        dst = [k for k in range(width) if k in (63, width - 1) or rng.random() < 0.7]
+        shift = max(63 - dst[-1], 0) if rng.random() < 0.5 else int(rng.integers(0, 70))
+        src, dst_rows = [k + shift for k in dst], width
+        src_rows = src[-1] + 1 + int(rng.integers(1, 70))
     a = rng.integers(0, 2, size=(src_rows, cols)).astype(bool)
     moved = np.zeros((dst_rows, cols), dtype=bool)
     moved[dst] = a[src]
@@ -318,19 +332,32 @@ def test_row_moves_by_runs_match_bool_reference(seed, runs, cols):
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rows=ROW_COUNTS, offset=ROW_COUNTS, cols=st.integers(0, 3))
-def test_block_moves_match_the_run_by_run_path(seed, rows, offset, cols):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=ROW_COUNTS,
+    offset=ROW_COUNTS,
+    cols=st.integers(0, 3),
+    width=st.sampled_from([None, 1, 63, 64, 65]),
+)
+def test_block_moves_match_the_run_by_run_path(seed, rows, offset, cols, width):
     # a whole masked block moved by two ranges, as blkdiag, concat and _align
     # move it, equals the same move given as plain lists, bit for bit
     rng = np.random.default_rng(seed)
-    block = BitMatrix.from_bool(rng.integers(0, 2, size=(rows, cols)).astype(bool))
     nbits = offset + rows + int(rng.integers(0, 70))
+    if width is not None:
+        # a width-bit result, the block ending at bit 63 or at the top bit
+        nbits = width
+        end = 64 if width >= 64 and rng.random() < 0.5 else width
+        rows = min(rows, end)
+        offset = end - rows
+    block = BitMatrix.from_bool(rng.integers(0, 2, size=(rows, cols)).astype(bool))
     src, dst = range(rows), range(offset, offset + rows)
     moved = _move_rows(block.data, src, dst, nbits)
     assert np.array_equal(moved, _move_rows(block.data, list(src), list(dst), nbits))
     if offset == 0 and block.data.shape[1] == moved.shape[1]:
         assert moved is block.data
-    # a range of a larger matrix's rows, as select_rows takes it
+    # a range of a larger matrix's rows, as select_rows takes it: the source
+    # words hold rows past the moved ones
     m = BitMatrix.from_bool(rng.integers(0, 2, size=(nbits, cols)).astype(bool))
     assert select_rows(m, dst) == select_rows(m, list(dst)) == BitMatrix.from_bool(m.to_bool()[dst])
 

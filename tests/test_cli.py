@@ -421,6 +421,21 @@ def test_intersect_rejects_zero_trials(capsys):
     assert "--trials must be at least 1, got 0" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--dim", "-1"], "--dim must be at least 1, got -1"),
+        (["--dim", "0"], "--dim must be at least 1, got 0"),
+        (["--gens", "-1"], "--gens must be at least 0, got -1"),
+    ],
+)
+def test_intersect_rejects_bad_sizes_before_any_output(capsys, flags, message):
+    assert main(["intersect", *flags, "--trials", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 def _readme_usage() -> dict[str, str]:
     """The README's "Command line" block as {subcommand: its usage text}."""
     section = README.read_text().split("## Command line", 1)[1]

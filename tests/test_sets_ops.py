@@ -791,6 +791,46 @@ def test_canonicalize_matches_monomial_dict(seed, n, p, shape):
     assert (out.A, out.b, out.R, out.id) == (z.A, z.b, z.R, z.id)
 
 
+def rebuilt(z):
+    """z through the public constructors, which check every shape and id and mask every word."""
+    return CPLZ(
+        BitVector(z.c.n, z.c.words),
+        BitMatrix(z.G.rows, z.G.data),
+        BitMatrix(z.E.rows, z.E.data),
+        BitMatrix(z.A.rows, z.A.data),
+        BitVector(z.b.n, z.b.words),
+        BitMatrix(z.R.rows, z.R.data),
+        z.id,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 5, 63, 64, 65, 130]),
+    ps=st.tuples(*[st.sampled_from([0, 3, 63, 64, 65, 70])] * 3),
+    starts=st.tuples(*[st.integers(1, 8)] * 3),
+)
+def test_trusted_results_revalidate(seed, n, ps, starts):
+    # the operations build their results without the public checks; each
+    # result passes them unchanged: the same masked words, the same ids
+    rng = np.random.default_rng(seed)
+    sets = [random_cplz(rng, IdAllocator(s), n=n, p=p) for s, p in zip(starts, ps)]
+    a, b = sets[:2]
+    alloc = IdAllocator(1000)
+    results = [negate(a), refresh_ids(a, alloc), canonicalize(a), drop_inert_ids(a), intersect(a, b, alloc)]
+    results += [stack(*sets[:k]) for k in (1, 2, 3)]
+    for gate in Gate:
+        for mode in ("exact", "minkowski"):
+            out = apply_gate(gate, a, b, alloc, mode)
+            results += [out, canonicalize(out), drop_inert_ids(canonicalize(out))]
+    for z in results:
+        words = (z.c.words, z.G.data, z.E.data, z.A.data, z.b.words, z.R.data)
+        assert all(w.dtype == np.uint64 and not w.flags.writeable for w in words)
+        assert type(z.id) is tuple
+        assert same_set(rebuilt(z), z)
+
+
 @pytest.mark.parametrize("p_big", [4, 70])
 def test_gates_on_fresh_operand_emit_increasing_keys(rng, alloc, p_big):
     # operand 2's ids are new to operand 1, so _align puts them above operand 1's
