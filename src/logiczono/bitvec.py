@@ -54,25 +54,17 @@ def pad_mask(nbits: int) -> np.ndarray:
 
 def pack_bool_rows(rows: np.ndarray) -> np.ndarray:
     """Pack a (k, nbits) boolean array into (k, n_words(nbits)) uint64 rows."""
-    rows = np.ascontiguousarray(rows, dtype=bool)
+    rows = np.asarray(rows, dtype=bool)
     k, nbits = rows.shape
-    if nbits == 0:
-        return np.zeros((k, 0), dtype=np.uint64)
-    shifts = (np.arange(nbits, dtype=np.uint64) % np.uint64(WORD_BITS))
-    contrib = rows.astype(np.uint64) << shifts
-    boundaries = np.arange(0, nbits, WORD_BITS)
-    return np.bitwise_or.reduceat(contrib, boundaries, axis=1)
+    octets = np.zeros((k, 8 * n_words(nbits)), dtype=np.uint8)  # bit i is bit i % 8 of octet i // 8
+    octets[:, : (nbits + 7) // 8] = np.packbits(rows, axis=1, bitorder="little")
+    return octets.view("<u8").astype(np.uint64, copy=False)
 
 
 def unpack_rows(words: np.ndarray, nbits: int) -> np.ndarray:
     """Expand (k, nw) packed rows back into a (k, nbits) boolean array."""
-    k = words.shape[0]
-    if nbits == 0:
-        return np.zeros((k, 0), dtype=bool)
-    idx = np.arange(nbits)
-    w = words[:, idx // WORD_BITS]
-    shifts = (idx % WORD_BITS).astype(np.uint64)
-    return ((w >> shifts) & np.uint64(1)).astype(bool)
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)  # bit i is bit i % 8 of octet i // 8
+    return np.unpackbits(octets, axis=1, count=nbits, bitorder="little").view(bool)
 
 
 class BitVector:
@@ -380,13 +372,15 @@ def blkdiag(*mats: BitMatrix) -> BitMatrix:
 
 
 def concat(*vecs: BitVector) -> BitVector:
-    """Concatenate vectors: each one's bits follow those of the ones before it."""
-    n, off = sum(v.n for v in vecs), 0
-    words = np.zeros(n_words(n), dtype=np.uint64)
+    """Concatenate vectors: each one's bits follow those of the ones before it.
+
+    The bits gather in one Python int, so the words are built in one pass."""
+    n, bits = 0, 0
     for v in vecs:
-        words |= _move_rows(v.words[None, :], range(v.n), range(off, off + v.n), n)[0]
-        off += v.n
-    return BitVector._of_masked(n, words)
+        bits |= int.from_bytes(v.words.astype("<u8", copy=False).tobytes(), "little") << n
+        n += v.n
+    words = np.frombuffer(bits.to_bytes(8 * n_words(n), "little"), dtype="<u8")
+    return BitVector._of_masked(n, words.astype(np.uint64, copy=False))
 
 
 def select_rows(m: BitMatrix, rows: Sequence[int]) -> BitMatrix:

@@ -27,7 +27,14 @@ table then takes p - b passes, all with runs of at least 2^b rows, for
 O((p - b) * 2^p + h * 2^b) word operations. b is the largest width whose
 worst-case scatter h * 2^b stays within 1/SCATTER_SHARE of the table's
 rows; a dense set (h close to 2^p, as ``encode_points`` builds) folds
-nothing.
+nothing. A pass left with runs shorter than STRIDED_RUNS rows views the
+table as one row per pair of runs and XORs each word of the first run
+into the second by one strided call, so numpy loops over the long axis.
+On a 2^18-row table of uint64 words (2-core x86 box, numpy 2.4) that
+takes the runs-of-2 pass from about 1.4 to 0.2 ms and the runs-of-4
+pass from about 0.8 to 0.3 ms, with the same bits; at runs of 8 the two
+forms cost about the same on large tables, and the per-run form wins on
+small ones.
 
 Precondition: ``[start, stop)`` is an aligned power-of-two block, i.e.
 ``stop - start == 2^k`` and ``start`` is a multiple of ``2^k``. Every
@@ -55,6 +62,7 @@ import numpy as np
 
 FOLD_BITS = 5  # the most low factor bits applied in the scatter
 SCATTER_SHARE = 8  # the worst-case scatter stays within 1/8 of the table's rows
+STRIDED_RUNS = 8  # passes with shorter runs XOR one strided column pair at a time
 
 _BITS = np.arange(1 << FOLD_BITS)
 _SUPERSETS = (_BITS[:, None] & _BITS[None, :]) == _BITS[:, None]  # [l, r]: r contains l
@@ -86,8 +94,13 @@ def subset_xor(
         np.bitwise_xor.at(table, rows, cols)
         half = group
         while half < size:
-            v = table.reshape(-1, 2, half, words)
-            v[:, 1] ^= v[:, 0]
+            if half < STRIDED_RUNS:  # one long strided XOR per word of the run pair
+                v, run = table.reshape(-1, 2 * half * words), half * words
+                for col in range(run, 2 * run):
+                    np.bitwise_xor(v[:, col], v[:, col - run], out=v[:, col])
+            else:
+                v = table.reshape(-1, 2, half, words)
+                v[:, 1] ^= v[:, 0]
             half *= 2
     return table
 

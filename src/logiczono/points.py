@@ -20,17 +20,51 @@ its predecessor. A set of at most 32 bits sweeps and dedupes on uint32
 words (``_lanes``; so does a constraint system of at most 32 rows), half
 the bytes of the uint64 words, and only its distinct points are widened
 back to the uint64 words that ``PointSet`` and every set keep.
+
+Split enumeration. The output bits of a joint set often depend on
+different factors: on the shipped circuit the step-5 joint has p = 18,
+but B1 and B2 depend on 12 of them and B3 on 11, and the two share the 5
+factors of U2. An unconstrained set of at most 64 bits is then swept as
+two sides (``_split``): side A is some of its output rows and side B the
+rest, F_A and F_B are the factors of the columns that meet each side's
+rows, and S = F_A & F_B are the shared ones. Each side is an ordinary
+unconstrained set, its rows of c and G plus one unit column per shared
+factor, and the same sweep lists its distinct keys (s, x) over F_A (or
+F_B) alone. Given s, the private factors of the two sides are
+independent, so the points are the join of the two key lists on s,
+deduped like any sweep block: the same ``PointSet`` as one sweep, bit
+for bit. The split is taken when its predicted cost, in rows of one
+sweep, is below the 2^p rows of one sweep: 2^|F_A| + 2^|F_B| rows of
+side sweeps, the rows of the join, n rows per generator column and the
+fixed ``_SPLIT_ROWS``, measured as the crossover on the shipped
+circuit's joints. On the shipped demo that splits the joints of steps
+5-7 and sweeps those of steps 1-4 whole. The budget still counts all p
+live factors of the set, and constrained sets, sets wider than 64 bits
+and sets whose side keys (n bits, then |S|) do not fit one word keep the
+single sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
 from . import kernels
-from .bitvec import GATE_WORDS, BitMatrix, BitVector, Gate, _unique_rows, gf2_basis, n_words, pad_mask
+from .bitvec import (
+    GATE_WORDS,
+    BitMatrix,
+    BitVector,
+    Gate,
+    _unique_rows,
+    gf2_basis,
+    n_words,
+    pack_bool_rows,
+    pad_mask,
+    unpack_rows,
+)
 from .errors import BudgetExceeded, DimensionError
 from .sets import CPLZ, IdAllocator, canonicalize, drop_inert_ids
 
@@ -38,6 +72,8 @@ DEFAULT_MAX_FACTORS = 24
 MAX_POINTS = 2_000_000  # cap on the points one enumeration emits
 
 _CHUNK_BITS = 20  # sweep in chunks of 2^20 assignments to bound memory
+_SPLIT_ROWS = 1 << 15  # a split's fixed cost, in rows of one sweep
+_COLUMN_BLOCK = 1 << 16  # columns per product in _row_factors
 
 
 @dataclass(frozen=True)
@@ -212,32 +248,164 @@ def _lanes(words: np.ndarray, nbits: int) -> np.ndarray:
     return words.astype(np.uint32) if nbits <= 32 else words
 
 
-def _sweep(c: CPLZ, budget: EnumerationBudget):
-    """Yield the points of the admissible assignments, one block of at most
-    2^_CHUNK_BITS assignments at a time; points may repeat across blocks.
-
-    Inert factor rows are compacted away first, and only the factors left
-    count against the budget. Within the budget (at most 63 factors) each
-    packed column of E and R is one word, which is the column's factor mask.
-    The generator and constraint tables run on ``_lanes``, so the blocks of a
-    set of at most 32 bits are uint32 words.
-    """
+def _live(c: CPLZ, budget: EnumerationBudget) -> CPLZ:
+    """The set with its inert factor rows compacted away; only the factors
+    left count against the budget."""
     d = drop_inert_ids(c)
     if d.p > budget.max_factors:
         raise BudgetExceeded(
             f"{d.p} factors exceed the enumeration cap of {budget.max_factors};"
             " raise max_factors if the sweep is really wanted"
         )
+    return d
+
+
+def _sweep(d: CPLZ):
+    """Yield the points of the admissible assignments of a set with no inert
+    factor, one block of at most 2^_CHUNK_BITS assignments at a time; points
+    may repeat across blocks.
+
+    Within the budget (at most 63 factors) each packed column of E and R is
+    one word, which is the column's factor mask. The generator and
+    constraint tables run on ``_lanes``, so the blocks of a set of at most
+    32 bits are uint32 words.
+    """
     emasks = np.bitwise_or.reduce(d.E.data, axis=1)  # the one word, or 0 when no factor is left
     rmasks = np.bitwise_or.reduce(d.R.data, axis=1)
-    G, center = _lanes(d.G.data, c.n), _lanes(d.c.words, c.n)
+    G, center = _lanes(d.G.data, d.n), _lanes(d.c.words, d.n)
     A, b = _lanes(d.A.data, d.m), _lanes(d.b.words, d.m)
     chunk = 1 << min(_CHUNK_BITS, d.p)
     for start in range(0, 1 << d.p, chunk):
-        out = np.empty((chunk, n_words(c.n)), dtype=G.dtype)
+        out = np.empty((chunk, n_words(d.n)), dtype=G.dtype)
         cnt = kernels.sweep_chunk(start, start + chunk, emasks, G, center, rmasks, A, b, out)
         if cnt:
             yield out[:cnt]
+
+
+def _distinct(blocks, nw: int, cap: int | None = None) -> np.ndarray:
+    """The distinct rows of the blocks, sorted; raises once more than ``cap``
+    are found. The first block is deduped without a copy: it is a sweep's
+    largest array."""
+    rows = np.zeros((0, nw), dtype=np.uint64)
+    for block in blocks:
+        rows = _unique_rows(np.concatenate([rows, block]) if rows.shape[0] else block)
+        if cap is not None and rows.shape[0] > cap:
+            raise BudgetExceeded(f"point set exceeds the cap of {cap}")
+    return rows
+
+
+def _row_factors(d: CPLZ) -> np.ndarray:
+    """(n, p) bools: output row i depends on factor k, i.e. some column with
+    bit i in its payload has k in its monomial. Counted as a product of the
+    unpacked G and E, a block of columns at a time to bound memory."""
+    hits = np.zeros((d.n, d.p), dtype=np.float32)
+    for j in range(0, d.h, _COLUMN_BLOCK):
+        g = unpack_rows(d.G.data[j : j + _COLUMN_BLOCK], d.n).astype(np.float32)
+        hits += g.T @ unpack_rows(d.E.data[j : j + _COLUMN_BLOCK], d.p).astype(np.float32)
+    return hits > 0
+
+
+def _fixed_rows(d: CPLZ) -> int:
+    """The part of a split's cost that does not depend on its sides, in rows
+    of one sweep: n per generator column and ``_SPLIT_ROWS``."""
+    return d.h * d.n + _SPLIT_ROWS
+
+
+def _split(d: CPLZ) -> int | None:
+    """The output rows of side A, as a mask word, when two sides may pay.
+
+    Rows with equal factor sets form groups, and the two groups whose union
+    has the fewest factors merge until two are left, sides A and B with
+    factors F_A and F_B. In rows of one sweep, a split costs the
+    2^|F_A| + 2^|F_B| rows its sides sweep, the J rows of their join, n
+    rows per generator column (the grouping reads every payload bit, and
+    each side rebuilds its columns) and ``_SPLIT_ROWS`` of fixed cost. It
+    is taken when that is less than the 2^p rows of one sweep and a key
+    (the n bits, then one per shared factor) fits one word. J is not known
+    here and counts as 0; ``_joined`` checks again with a bound on it.
+    """
+    if d.q or not d.p or not 0 < d.n <= 64 or _fixed_rows(d) >= 1 << d.p:
+        return None
+    groups: dict[int, int] = {}  # factor set -> its rows, both as mask words
+    for i, f in enumerate(pack_bool_rows(_row_factors(d))[:, 0].tolist()):
+        groups[f] = groups.get(f, 0) | 1 << i
+    masks, rows = list(groups), list(groups.values())
+    while len(masks) > 2:
+        i, j = min(combinations(range(len(masks)), 2), key=lambda ij: (masks[ij[0]] | masks[ij[1]]).bit_count())
+        masks[i] |= masks.pop(j)
+        rows[i] |= rows.pop(j)
+    if len(masks) < 2:
+        return None
+    fa, fb = masks
+    swept = (1 << fa.bit_count()) + (1 << fb.bit_count())
+    return rows[0] if d.n + (fa & fb).bit_count() <= 64 and swept + _fixed_rows(d) < 1 << d.p else None
+
+
+def _side_keys(d: CPLZ, side: int, own: int, shared: int) -> np.ndarray:
+    """The sorted distinct keys x | s << n of one side, as uint64: x holds the
+    side's output rows (the mask word ``side``) in place, s the values of
+    the shared factors.
+
+    The side is an unconstrained set over its own factors ``own`` alone:
+    d's c and G cut to its rows, the columns that meet them, and one unit
+    column per shared factor."""
+    G = d.G.data & np.uint64(side)
+    keep = G[:, 0] != 0
+    pos = [k for k in range(d.p) if own >> k & 1]
+    units = [t for t, k in enumerate(pos) if shared >> k & 1]
+    f, nk = len(pos), d.n + len(units)
+    E = np.concatenate([unpack_rows(d.E.data[keep], d.p)[:, pos], np.eye(f, dtype=bool)[units]])
+    G = np.concatenate([G[keep], (np.uint64(1) << np.arange(d.n, nk, dtype=np.uint64))[:, None]])
+    z = CPLZ._of_parts(
+        BitVector._of_masked(nk, d.c.words & np.uint64(side)),
+        BitMatrix._of_masked(nk, G),
+        BitMatrix._of_masked(f, pack_bool_rows(E)),
+        d.A, d.b, BitMatrix._of_masked(f, np.zeros((0, n_words(f)), dtype=np.uint64)),
+        tuple(d.id[k] for k in pos),
+    )
+    return _distinct(_sweep(z), 1)[:, 0].astype(np.uint64, copy=False)
+
+
+def _joined(d: CPLZ, side: int):
+    """Yield the points of an unconstrained set of at most 64 bits from two
+    sides, the rows of the mask word ``side`` and the rest, in blocks of
+    about 2^_CHUNK_BITS rows; points may repeat across blocks.
+
+    A side's factors are those of the columns that meet its rows. Given
+    the shared factors S = F_A & F_B, the private factors of the two sides
+    are independent, so the points are every pair of A and B keys with
+    equal s. Both key lists sort by s, so each key of one side meets one
+    run of keys of the other, found by binary search.
+
+    The side with fewer factors is swept first. Each of its K keys meets
+    at most 2^(|F| - |S|) keys of the other side, F being that side's
+    factors, so the join has J <= K * 2^(|F| - |S|) rows. When that bound
+    makes the split cost more than one sweep (see ``_split``), the set is
+    swept whole instead.
+    """
+    sides = (side, int(pad_mask(d.n)[0]) & ~side)
+    emasks, payloads = d.E.data[:, 0], d.G.data[:, 0]
+    own = [int(np.bitwise_or.reduce(emasks[(payloads & np.uint64(r)) != 0], initial=np.uint64(0))) for r in sides]
+    shared = own[0] & own[1]
+    (ra, fa), (rb, fb) = sorted(zip(sides, own), key=lambda rf: rf[1].bit_count())
+    ka = _side_keys(d, ra, fa, shared)
+    swept = (1 << fa.bit_count()) + (1 << fb.bit_count())
+    if (len(ka) << (fb & ~shared).bit_count()) + swept + _fixed_rows(d) >= 1 << d.p:
+        yield from _sweep(d)
+        return
+    kb = _side_keys(d, rb, fb, shared)
+    n, pad = np.uint64(d.n), pad_mask(d.n)[0]
+    lo = np.searchsorted(kb >> n, ka >> n, "left")
+    cnt = np.searchsorted(kb >> n, ka >> n, "right") - lo
+    xa, xb = _lanes(ka & pad, d.n), _lanes(kb & pad, d.n)
+    step = max(1, (1 << _CHUNK_BITS) // max(int(cnt.max()), 1))
+    for i in range(0, len(cnt), step):
+        c = cnt[i : i + step]
+        first = np.cumsum(c) - c
+        pts = xb[np.arange(first[-1] + c[-1]) - np.repeat(first - lo[i : i + step], c)]
+        pts |= np.repeat(xa[i : i + step], c)
+        if len(pts):
+            yield pts[:, None]
 
 
 def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointSet:
@@ -247,7 +415,8 @@ def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointS
     system, emits c XOR the XOR of generator columns whose monomial is 1
     (convention alpha^0 == 1, alpha^1 == alpha), then deduplicates.
     Affine sets enumerate through their GF(2) span; everything else
-    sweeps, subject to the factor budget.
+    sweeps, subject to the factor budget, either whole or as two sides
+    joined on their shared factors (``_split``).
     """
     budget = budget or DEFAULT_BUDGET
     if _empty_by_constraints(c):
@@ -262,12 +431,10 @@ def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointS
         table = np.empty((1 << r, basis.shape[1]), dtype=np.uint64)
         masks = np.uint64(1) << np.arange(r, dtype=np.uint64)
         return PointSet(c.n, kernels.subset_xor(0, masks, basis, table) ^ offset)
-    rows = np.zeros((0, n_words(c.n)), dtype=np.uint64)
-    for block in _sweep(c, budget):
-        # the first block is deduped without a copy: it is a sweep's largest array
-        rows = _unique_rows(np.concatenate([rows, block]) if rows.shape[0] else block)
-        if rows.shape[0] > MAX_POINTS:
-            raise BudgetExceeded(f"point set exceeds the cap of {MAX_POINTS}")
+    d = _live(c, budget)
+    side = _split(d)
+    blocks = _sweep(d) if side is None else _joined(d, side)
+    rows = _distinct(blocks, n_words(c.n), MAX_POINTS)
     # swept points are masked like c and G, and widening keeps their order
     return PointSet._of_unique(c.n, rows.astype(np.uint64, copy=False))
 
@@ -292,7 +459,7 @@ def witness_point(c: CPLZ, budget: EnumerationBudget | None = None) -> BitVector
     span = _span_form(c)
     if span is not None:
         return BitVector(c.n, span[0])
-    for block in _sweep(c, budget):
+    for block in _sweep(_live(c, budget)):
         return BitVector(c.n, block[0].astype(np.uint64))
     return None
 

@@ -132,13 +132,19 @@ def test_subset_xor_matches_per_row_reference(seed, p, words, block):
 @pytest.mark.parametrize("p", [3, 6, 9])
 def test_subset_xor_dense_set_folds_nothing(rng, p):
     # h close to 2^p, as an encoded point list has: the guard keeps the fold
-    # width at 0, while a sparse set of the same size folds FOLD_BITS bits
+    # width at 0, while a sparse set of the same size folds FOLD_BITS bits;
+    # at fold width 0 the passes with runs below STRIDED_RUNS are strided,
+    # on uint64 words and on the uint32 words of a sweep of at most 32 bits
     size = 1 << p
     assert kernels._fold_width(size, size) == 0
     assert kernels._fold_width(1, 1 << 20) == kernels.FOLD_BITS
-    masks, payloads = _random_columns(rng, size + 5, p, 2)
-    got = kernels.subset_xor(size, masks, payloads, np.empty((size, 2), dtype=np.uint64))
-    assert np.array_equal(got, _subset_xor_reference(size, masks, payloads, size, 2))
+    for words in (1, 2, 3):
+        masks, payloads = _random_columns(rng, size + 5, p, words)
+        expected = _subset_xor_reference(size, masks, payloads, size, words)
+        for dtype in (np.uint64, np.uint32):
+            table = np.empty((size, words), dtype=dtype)
+            got = kernels.subset_xor(size, masks, payloads.astype(dtype), table)
+            assert np.array_equal(got, expected.astype(dtype))
 
 
 def test_fold_width_keeps_the_scatter_small():

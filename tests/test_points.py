@@ -22,7 +22,9 @@ from logiczono.points import (
 from logiczono.sets import (
     ConstrainedPolyLogicalZonotope as CPLZ,
     IdAllocator,
+    drop_inert_ids,
     intersect,
+    stack,
 )
 from conftest import naive_enumerate, random_cplz
 
@@ -338,3 +340,101 @@ def test_sweep_lanes_merge_several_blocks(alloc, monkeypatch, n):
         ps, w = _check_swept(z)
         assert ps == ref and np.array_equal(ps.rows, ref.rows)
         assert w == BitVector.ones(n)
+
+
+# --- split enumeration: two sides joined on their shared factors -------------
+
+
+def _operand(rng, n, ids):
+    """A random unconstrained set over the given ids: some rows constant (no
+    generator has their bit), some monomials repeated, and sometimes a
+    constant-monomial column or no generator at all."""
+    p, h = len(ids), int(rng.integers(0, 6))
+    G = rng.random((n, h)) < 0.5
+    G[rng.random(n) < 0.3, :] = False
+    E = rng.random((p, h)) < 0.5
+    if h > 1 and rng.random() < 0.5:
+        E[:, -1] = E[:, 0]
+    if h and rng.random() < 0.2:
+        E[:, 0] = False
+    return CPLZ.unconstrained(BitVector.from_bits(rng.integers(0, 2, size=n)), BitMatrix.from_bool(G),
+                              BitMatrix.from_bool(E), ids)
+
+
+def _random_stack(rng, alloc, share, widths):
+    """stack() of operands whose ids are disjoint, partly shared or identical."""
+    ops, ids = [], alloc.fresh(int(rng.integers(1, 4)))
+    for n in widths:
+        ops.append(_operand(rng, n, ids))
+        if share == "disjoint":
+            ids = alloc.fresh(int(rng.integers(1, 4)))
+        elif share == "partly":
+            ids = [i for i in ids if rng.random() < 0.5] + alloc.fresh(int(rng.integers(1, 3)))
+    return ops, stack(*ops)
+
+
+def _enumerate_with(monkeypatch, z, split_rows):
+    monkeypatch.setattr(points, "_SPLIT_ROWS", split_rows)
+    return enumerate_points(z)
+
+
+ALWAYS_SPLIT, NEVER_SPLIT = -(1 << 80), 1 << 80  # _SPLIT_ROWS that make every split pay, or none
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from(["disjoint", "partly", "identical"]),
+       widths=st.lists(st.integers(1, 12), min_size=2, max_size=3))
+def test_split_enumeration_matches_the_sweep_and_naive(seed, share, widths):
+    rng = np.random.default_rng(seed)
+    ops, z = _random_stack(rng, IdAllocator(), share, widths)
+    with pytest.MonkeyPatch.context() as mp:
+        split = _enumerate_with(mp, z, ALWAYS_SPLIT)
+        plain = _enumerate_with(mp, z, NEVER_SPLIT)
+    assert np.array_equal(split.rows, plain.rows) and split.rows.dtype == np.uint64
+    assert set(split.to_bitstrings()) == naive_enumerate(z)
+    if share == "disjoint":  # factor-disjoint operands are independent
+        assert len(split) == math.prod(count_points(s) for s in ops)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_partition_joins_to_the_same_points(monkeypatch, seed):
+    # any two sides give the points, not only the greedy ones: the rows no
+    # generator touches, one row, a random half, no row and every row
+    rng = np.random.default_rng(seed)
+    _, z = _random_stack(rng, IdAllocator(), ["disjoint", "partly", "identical"][seed % 3], [3, 5, 4])
+    d = drop_inert_ids(z)
+    expected = enumerate_points(z).rows
+    monkeypatch.setattr(points, "_SPLIT_ROWS", ALWAYS_SPLIT)
+    constant = sum(1 << int(i) for i in np.flatnonzero(~z.G.to_bool().any(axis=1)))
+    for side in (constant, 1, int(rng.integers(0, 1 << z.n)), 0, (1 << z.n) - 1):
+        got = points._distinct(points._joined(d, side), 1)
+        assert np.array_equal(got.astype(np.uint64), expected), side
+
+
+def _two_blocks(n, cut, fa, fb):
+    """n bits: rows below ``cut`` are the AND of factors fa, the rest the AND of fb."""
+    G = np.zeros((n, 2), dtype=bool)
+    G[:cut, 0] = G[cut:, 1] = True
+    E = np.zeros((max(fa + fb) + 1, 2), dtype=bool)
+    E[fa, 0] = E[fb, 1] = True
+    return CPLZ.unconstrained(BitVector.zeros(n), BitMatrix.from_bool(G), BitMatrix.from_bool(E),
+                              IdAllocator().fresh(E.shape[0]))
+
+
+def test_split_is_taken_only_where_it_can_apply(monkeypatch, rng, alloc):
+    monkeypatch.setattr(points, "_SPLIT_ROWS", ALWAYS_SPLIT)
+    z = _two_blocks(6, 2, [0, 1], [2, 3])
+    assert points._split(z) == 0b11
+    # a key holds the n bits and one bit per shared factor: 60 + 3 and 64 + 0
+    # fit a word, 62 + 3 do not
+    assert points._split(_two_blocks(60, 30, [0, 1, 2, 3], [1, 2, 3, 4])) is not None
+    assert points._split(_two_blocks(64, 32, [0, 1], [2, 3])) == (1 << 32) - 1
+    assert points._split(_two_blocks(62, 30, [0, 1, 2, 3], [1, 2, 3, 4])) is None
+    # one group of rows, a constrained set, or points wider than one word keep the whole sweep
+    assert points._split(_two_blocks(6, 2, [0, 1], [0, 1])) is None
+    assert points._split(drop_inert_ids(random_cplz(rng, alloc, n=6, constrained=True, p=4))) is None
+    _, wide = _random_stack(rng, alloc, "disjoint", [40, 30])
+    assert points._split(drop_inert_ids(wide)) is None
+    for z in (_two_blocks(60, 30, [0, 1, 2, 3], [1, 2, 3, 4]), _two_blocks(64, 32, [0, 1], [2, 3]),
+              _two_blocks(62, 30, [0, 1, 2, 3], [1, 2, 3, 4]), wide):
+        assert set(enumerate_points(z).to_bitstrings()) == naive_enumerate(z)

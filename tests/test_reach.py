@@ -5,6 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from logiczono import points
 from logiczono.bitvec import BitMatrix, BitVector
 from logiczono.errors import BudgetExceeded, DimensionError
 from logiczono.network import parse_network
@@ -372,6 +373,23 @@ def test_shipped_demo_joint_shapes_stay_bounded(alloc):
     bounds = [3, 14, 38, 94, 230, 574, 1468, 3874, 10520]
     assert all(h <= bound for (h, _), bound in zip(shapes, bounds)), shapes
     assert [p for _, p in shapes] == [3 * k + 3 for k in range(9)]
+
+
+def test_shipped_demo_counts_split_only_where_it_pays(alloc, monkeypatch):
+    # the joints of steps 5-7 (p = 18, 21, 24) are swept as two sides joined
+    # on their shared factors, those of steps 1-4 whole; the budget still
+    # counts every live factor of the joint, with the same message
+    result = reach(_shipped_demo(8, alloc), alloc=alloc)
+    joints = [drop_inert_ids(result.joint(k)) for k in range(9)]
+    assert [points._split(d) is not None for d in joints[1:8]] == [False] * 4 + [True] * 3
+    assert [result.size(k) for k in range(1, 8)] == [64, 150, 180, 180, 180, 180, 180]
+    with pytest.raises(BudgetExceeded, match=r"step 8 joint state set \(h=10520, p=27\): 27 factors exceed"):
+        result.size(8)
+    split = [enumerate_points(joints[k]) for k in (5, 6)]
+    monkeypatch.setattr(points, "_SPLIT_ROWS", 1 << 80)
+    assert [points._split(joints[k]) for k in (5, 6)] == [None, None]
+    for k, ps in zip((5, 6), split):
+        assert np.array_equal(enumerate_points(joints[k]).rows, ps.rows)
 
 
 def test_reach_leaves_no_cyclic_garbage():
