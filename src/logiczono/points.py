@@ -8,7 +8,9 @@ points block by block: enumeration dedupes after each block, and a
 witness is the first point of the first non-empty block. The sweep cost
 is 2^p over the live factors (inert ones are dropped first), so that p
 is guarded by an EnumerationBudget, and an enumeration emits at most
-MAX_POINTS points. Unconstrained sets whose monomials all have degree at
+MAX_POINTS points. A set with no effective constraint admits every
+assignment, so its witness is the point of alpha = 0, found without a
+sweep or a budget. Unconstrained sets whose monomials all have degree at
 most one (logical zonotopes among them) are affine subspaces over GF(2),
 offset XOR span(G), whatever their factor count: ``bitvec.gf2_basis``
 reduces their generators to a basis of some rank r, so they have 2^r
@@ -33,15 +35,20 @@ factor, and the same sweep lists its distinct keys (s, x) over F_A (or
 F_B) alone. Given s, the private factors of the two sides are
 independent, so the points are the join of the two key lists on s,
 deduped like any sweep block: the same ``PointSet`` as one sweep, bit
-for bit. The split is taken when its predicted cost, in rows of one
-sweep, is below the 2^p rows of one sweep: 2^|F_A| + 2^|F_B| rows of
-side sweeps, the rows of the join, n rows per generator column and the
-fixed ``_SPLIT_ROWS``, measured as the crossover on the shipped
-circuit's joints. On the shipped demo that splits the joints of steps
-5-7 and sweeps those of steps 1-4 whole. The budget still counts all p
-live factors of the set, and constrained sets, sets wider than 64 bits
-and sets whose side keys (n bits, then |S|) do not fit one word keep the
-single sweep.
+for bit. ``_split`` plans the split once: side A's rows and the factor
+masks of both sides, the side with fewer factors first. A split pays
+(``_pays``) when its predicted cost, in rows of one sweep, is below the
+2^p rows of one sweep: 2^|F_A| + 2^|F_B| rows of side sweeps, the rows
+of the join, n rows per generator column and the fixed ``_SPLIT_ROWS``,
+measured as the crossover on the shipped circuit's joints. Every value
+of the shared factors occurs on both sides, so ``_split`` counts the
+join as at least 2^|S| rows; after sweeping side A, ``_joined`` bounds
+it from above by K * 2^|F_B - S| for side A's K keys and sweeps the set
+whole when that no longer pays. On the shipped demo the joints of steps
+5-7 split and those of steps 1-4 are swept whole. The budget still
+counts all p live factors of the set, and constrained sets, sets wider
+than 64 bits and sets whose side keys (n bits, then |S|) do not fit one
+word keep the single sweep.
 """
 
 from __future__ import annotations
@@ -224,10 +231,10 @@ def _span_form(c: CPLZ) -> tuple[np.ndarray, np.ndarray] | None:
     After canonicalize, the columns gated by one factor have merged into
     one and the degree-0 columns have folded into the center, so the
     offset is the center and the payloads span the rest. Returns None
-    when a sweep is required, or when the empty constraint system is
-    unsatisfiable (caller checks that first).
+    when a sweep is required: a constraint is in play (a column of it, or
+    the fixed constraint 0 == b with b nonzero, which no point meets).
     """
-    if c.q > 0 and c.m > 0:
+    if c.m and (c.q or c.b.words.any()):
         return None
     words = c.E.data
     # degree <= 1: each exponent column has at most one nonzero word, a power of two
@@ -305,26 +312,30 @@ def _row_factors(d: CPLZ) -> np.ndarray:
     return hits > 0
 
 
-def _fixed_rows(d: CPLZ) -> int:
-    """The part of a split's cost that does not depend on its sides, in rows
-    of one sweep: n per generator column and ``_SPLIT_ROWS``."""
-    return d.h * d.n + _SPLIT_ROWS
+def _pays(d: CPLZ, fa: int, fb: int, join_rows: int) -> bool:
+    """A split with side factors ``fa`` and ``fb`` (mask words) costs less
+    than the 2^p rows of one sweep. In rows of one sweep it costs the
+    2^|F_A| + 2^|F_B| rows its sides sweep, the ``join_rows`` of their
+    join, n rows per generator column (the grouping reads every payload
+    bit, and each side rebuilds its columns) and ``_SPLIT_ROWS``."""
+    swept = (1 << fa.bit_count()) + (1 << fb.bit_count())
+    return swept + join_rows + d.h * d.n + _SPLIT_ROWS < 1 << d.p
 
 
-def _split(d: CPLZ) -> int | None:
-    """The output rows of side A, as a mask word, when two sides may pay.
+def _split(d: CPLZ) -> tuple[int, int, int] | None:
+    """(side, fa, fb) when two sides may pay: side A's output rows and the
+    factors of sides A and B, all mask words, the side with fewer factors
+    first.
 
     Rows with equal factor sets form groups, and the two groups whose union
-    has the fewest factors merge until two are left, sides A and B with
-    factors F_A and F_B. In rows of one sweep, a split costs the
-    2^|F_A| + 2^|F_B| rows its sides sweep, the J rows of their join, n
-    rows per generator column (the grouping reads every payload bit, and
-    each side rebuilds its columns) and ``_SPLIT_ROWS`` of fixed cost. It
-    is taken when that is less than the 2^p rows of one sweep and a key
-    (the n bits, then one per shared factor) fits one word. J is not known
-    here and counts as 0; ``_joined`` checks again with a bound on it.
+    has the fewest factors merge until two are left. Every value of the
+    shared factors S = fa & fb occurs on both sides of an unconstrained
+    set, so the join has at least 2^|S| rows, and the split is taken when
+    it pays (``_pays``) with that many and a key (the n bits, then one per
+    shared factor) fits one word. ``_joined`` checks again with an upper
+    bound on the join.
     """
-    if d.q or not d.p or not 0 < d.n <= 64 or _fixed_rows(d) >= 1 << d.p:
+    if d.q or not d.p or not 0 < d.n <= 64 or not _pays(d, 0, 0, 0):  # no split pays: skip the grouping
         return None
     groups: dict[int, int] = {}  # factor set -> its rows, both as mask words
     for i, f in enumerate(pack_bool_rows(_row_factors(d))[:, 0].tolist()):
@@ -336,65 +347,55 @@ def _split(d: CPLZ) -> int | None:
         rows[i] |= rows.pop(j)
     if len(masks) < 2:
         return None
-    fa, fb = masks
-    swept = (1 << fa.bit_count()) + (1 << fb.bit_count())
-    return rows[0] if d.n + (fa & fb).bit_count() <= 64 and swept + _fixed_rows(d) < 1 << d.p else None
+    (fa, side), (fb, _) = sorted(zip(masks, rows), key=lambda fr: fr[0].bit_count())
+    shared = (fa & fb).bit_count()
+    return (side, fa, fb) if d.n + shared <= 64 and _pays(d, fa, fb, 1 << shared) else None
 
 
-def _side_keys(d: CPLZ, side: int, own: int, shared: int) -> np.ndarray:
+def _side_keys(d: CPLZ, side: int, shared: int) -> np.ndarray:
     """The sorted distinct keys x | s << n of one side, as uint64: x holds the
     side's output rows (the mask word ``side``) in place, s the values of
-    the shared factors.
+    the shared factors (the mask word ``shared``).
 
-    The side is an unconstrained set over its own factors ``own`` alone:
-    d's c and G cut to its rows, the columns that meet them, and one unit
-    column per shared factor."""
+    The side is an unconstrained set: d's c and G cut to its rows, the
+    columns that meet them, and one unit column per shared factor, over
+    d's factor rows; ``drop_inert_ids`` leaves the side's own factors."""
     G = d.G.data & np.uint64(side)
     keep = G[:, 0] != 0
-    pos = [k for k in range(d.p) if own >> k & 1]
-    units = [t for t, k in enumerate(pos) if shared >> k & 1]
-    f, nk = len(pos), d.n + len(units)
-    E = np.concatenate([unpack_rows(d.E.data[keep], d.p)[:, pos], np.eye(f, dtype=bool)[units]])
+    units = np.uint64(1) << np.array([k for k in range(d.p) if shared >> k & 1], dtype=np.uint64)
+    nk = d.n + len(units)
     G = np.concatenate([G[keep], (np.uint64(1) << np.arange(d.n, nk, dtype=np.uint64))[:, None]])
-    z = CPLZ._of_parts(
-        BitVector._of_masked(nk, d.c.words & np.uint64(side)),
-        BitMatrix._of_masked(nk, G),
-        BitMatrix._of_masked(f, pack_bool_rows(E)),
-        d.A, d.b, BitMatrix._of_masked(f, np.zeros((0, n_words(f)), dtype=np.uint64)),
-        tuple(d.id[k] for k in pos),
-    )
+    E = np.concatenate([d.E.data[keep], units[:, None]])
+    z = drop_inert_ids(CPLZ._of_parts(
+        BitVector._of_masked(nk, d.c.words & np.uint64(side)), BitMatrix._of_masked(nk, G),
+        BitMatrix._of_masked(d.p, E), d.A, d.b, d.R, d.id,
+    ))
     return _distinct(_sweep(z), 1)[:, 0].astype(np.uint64, copy=False)
 
 
-def _joined(d: CPLZ, side: int):
+def _joined(d: CPLZ, side: int, fa: int, fb: int):
     """Yield the points of an unconstrained set of at most 64 bits from two
-    sides, the rows of the mask word ``side`` and the rest, in blocks of
-    about 2^_CHUNK_BITS rows; points may repeat across blocks.
+    sides, the rows of the mask word ``side`` over factors ``fa`` and the
+    rest over ``fb``, in blocks of about 2^_CHUNK_BITS rows; points may
+    repeat across blocks.
 
-    A side's factors are those of the columns that meet its rows. Given
-    the shared factors S = F_A & F_B, the private factors of the two sides
-    are independent, so the points are every pair of A and B keys with
-    equal s. Both key lists sort by s, so each key of one side meets one
-    run of keys of the other, found by binary search.
+    Given the shared factors S = fa & fb, the private factors of the two
+    sides are independent, so the points are every pair of A and B keys
+    with equal s. Both key lists sort by s, so each key of one side meets
+    one run of keys of the other, found by binary search.
 
-    The side with fewer factors is swept first. Each of its K keys meets
-    at most 2^(|F| - |S|) keys of the other side, F being that side's
-    factors, so the join has J <= K * 2^(|F| - |S|) rows. When that bound
-    makes the split cost more than one sweep (see ``_split``), the set is
-    swept whole instead.
+    Side A is swept first. Each of its K keys meets at most 2^|F_B - S|
+    keys of side B, so the join has J <= K * 2^|F_B - S| rows. When the
+    split does not pay (``_pays``) with that bound, the set is swept whole
+    instead.
     """
-    sides = (side, int(pad_mask(d.n)[0]) & ~side)
-    emasks, payloads = d.E.data[:, 0], d.G.data[:, 0]
-    own = [int(np.bitwise_or.reduce(emasks[(payloads & np.uint64(r)) != 0], initial=np.uint64(0))) for r in sides]
-    shared = own[0] & own[1]
-    (ra, fa), (rb, fb) = sorted(zip(sides, own), key=lambda rf: rf[1].bit_count())
-    ka = _side_keys(d, ra, fa, shared)
-    swept = (1 << fa.bit_count()) + (1 << fb.bit_count())
-    if (len(ka) << (fb & ~shared).bit_count()) + swept + _fixed_rows(d) >= 1 << d.p:
+    shared = fa & fb
+    ka = _side_keys(d, side, shared)
+    if not _pays(d, fa, fb, len(ka) << (fb & ~shared).bit_count()):
         yield from _sweep(d)
         return
-    kb = _side_keys(d, rb, fb, shared)
     n, pad = np.uint64(d.n), pad_mask(d.n)[0]
+    kb = _side_keys(d, int(pad) & ~side, shared)
     lo = np.searchsorted(kb >> n, ka >> n, "left")
     cnt = np.searchsorted(kb >> n, ka >> n, "right") - lo
     xa, xb = _lanes(ka & pad, d.n), _lanes(kb & pad, d.n)
@@ -432,8 +433,8 @@ def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointS
         masks = np.uint64(1) << np.arange(r, dtype=np.uint64)
         return PointSet(c.n, kernels.subset_xor(0, masks, basis, table) ^ offset)
     d = _live(c, budget)
-    side = _split(d)
-    blocks = _sweep(d) if side is None else _joined(d, side)
+    plan = _split(d)
+    blocks = _sweep(d) if plan is None else _joined(d, *plan)
     rows = _distinct(blocks, n_words(c.n), MAX_POINTS)
     # swept points are masked like c and G, and widening keeps their order
     return PointSet._of_unique(c.n, rows.astype(np.uint64, copy=False))
@@ -442,24 +443,23 @@ def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointS
 def count_points(c: CPLZ, budget: EnumerationBudget | None = None) -> int:
     """Cardinality of the point set; affine sets are counted by rank, without
     materializing."""
-    budget = budget or DEFAULT_BUDGET
-    if _empty_by_constraints(c):
-        return 0
     span = _span_form(c)
-    if span is not None:
-        return 1 << len(span[1])
-    return len(enumerate_points(c, budget))
+    return len(enumerate_points(c, budget)) if span is None else 1 << len(span[1])
 
 
 def witness_point(c: CPLZ, budget: EnumerationBudget | None = None) -> BitVector | None:
-    """Some member of the set, or None when it is empty."""
-    budget = budget or DEFAULT_BUDGET
+    """Some member of the set, or None when it is empty.
+
+    With no effective constraint every assignment is admissible, and the
+    witness is the point of alpha = 0: c XOR the payloads whose monomial is
+    constant, with no sweep and no budget. It is also the span's offset and
+    the first point a sweep emits."""
     if _empty_by_constraints(c):
         return None
-    span = _span_form(c)
-    if span is not None:
-        return BitVector(c.n, span[0])
-    for block in _sweep(_live(c, budget)):
+    if not (c.q and c.m):
+        constant = c.G.data[~c.E.data.any(axis=1)]
+        return BitVector._of_masked(c.n, c.c.words ^ np.bitwise_xor.reduce(constant, axis=0))
+    for block in _sweep(_live(c, budget or DEFAULT_BUDGET)):
         return BitVector(c.n, block[0].astype(np.uint64))
     return None
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logiczono import points
+from logiczono import cli, points
 from logiczono.bitvec import BitMatrix, BitVector, Gate, elementwise_gate
 from logiczono.errors import BudgetExceeded, DimensionError
 from logiczono.points import (
@@ -24,6 +24,7 @@ from logiczono.sets import (
     IdAllocator,
     drop_inert_ids,
     intersect,
+    mink_and,
     stack,
 )
 from conftest import naive_enumerate, random_cplz
@@ -406,9 +407,16 @@ def test_every_partition_joins_to_the_same_points(monkeypatch, seed):
     expected = enumerate_points(z).rows
     monkeypatch.setattr(points, "_SPLIT_ROWS", ALWAYS_SPLIT)
     constant = sum(1 << int(i) for i in np.flatnonzero(~z.G.to_bool().any(axis=1)))
-    for side in (constant, 1, int(rng.integers(0, 1 << z.n)), 0, (1 << z.n) - 1):
-        got = points._distinct(points._joined(d, side), 1)
+    full = (1 << z.n) - 1
+    for side in (constant, 1, int(rng.integers(0, 1 << z.n)), 0, full):
+        got = points._distinct(points._joined(d, side, _factors(d, side), _factors(d, full & ~side)), 1)
         assert np.array_equal(got.astype(np.uint64), expected), side
+
+
+def _factors(d, rows):
+    """The factors of the columns that meet the output rows of the mask word ``rows``."""
+    meets = (d.G.data[:, 0] & np.uint64(rows)) != 0
+    return int(np.bitwise_or.reduce(d.E.data[meets, 0], initial=np.uint64(0)))
 
 
 def _two_blocks(n, cut, fa, fb):
@@ -423,12 +431,13 @@ def _two_blocks(n, cut, fa, fb):
 
 def test_split_is_taken_only_where_it_can_apply(monkeypatch, rng, alloc):
     monkeypatch.setattr(points, "_SPLIT_ROWS", ALWAYS_SPLIT)
-    z = _two_blocks(6, 2, [0, 1], [2, 3])
-    assert points._split(z) == 0b11
+    # side A's rows and the factors of both sides, the side with fewer factors first
+    assert points._split(_two_blocks(6, 2, [0, 1], [2, 3])) == (0b11, 0b11, 0b1100)
+    assert points._split(_two_blocks(6, 2, [0, 1, 2], [3])) == (0b111100, 0b1000, 0b111)
     # a key holds the n bits and one bit per shared factor: 60 + 3 and 64 + 0
     # fit a word, 62 + 3 do not
-    assert points._split(_two_blocks(60, 30, [0, 1, 2, 3], [1, 2, 3, 4])) is not None
-    assert points._split(_two_blocks(64, 32, [0, 1], [2, 3])) == (1 << 32) - 1
+    assert points._split(_two_blocks(60, 30, [0, 1, 2, 3], [1, 2, 3, 4])) == ((1 << 30) - 1, 0b1111, 0b11110)
+    assert points._split(_two_blocks(64, 32, [0, 1], [2, 3])) == ((1 << 32) - 1, 0b11, 0b1100)
     assert points._split(_two_blocks(62, 30, [0, 1, 2, 3], [1, 2, 3, 4])) is None
     # one group of rows, a constrained set, or points wider than one word keep the whole sweep
     assert points._split(_two_blocks(6, 2, [0, 1], [0, 1])) is None
@@ -438,3 +447,92 @@ def test_split_is_taken_only_where_it_can_apply(monkeypatch, rng, alloc):
     for z in (_two_blocks(60, 30, [0, 1, 2, 3], [1, 2, 3, 4]), _two_blocks(64, 32, [0, 1], [2, 3]),
               _two_blocks(62, 30, [0, 1, 2, 3], [1, 2, 3, 4]), wide):
         assert set(enumerate_points(z).to_bitstrings()) == naive_enumerate(z)
+
+
+def _mink_and_sets():
+    """The mink_and sets of ``intersect --dim 10 --seed 7 --trials 20``, each with its operands."""
+    for t in range(20):
+        alloc = IdAllocator()
+        rng = np.random.default_rng([7, t])
+        l1 = cli._random_lz(rng, 10, 9, alloc)
+        l2 = cli._random_lz(rng, 10, 9, alloc)
+        yield l1, l2, mink_and(l1, l2, alloc)
+
+
+def test_split_counts_one_join_row_per_shared_value(monkeypatch):
+    # the sides of trial 0 share 15 of their 16 and 17 factors: every value
+    # of the shared ones meets both sides, so the join has at least 2^15
+    # rows and the split does not pay
+    _, _, z = next(_mink_and_sets())
+    d = drop_inert_ids(z)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "_SPLIT_ROWS", ALWAYS_SPLIT)
+        _, fa, fb = points._split(d)
+        forced = enumerate_points(z)
+    assert (fa.bit_count(), fb.bit_count(), (fa & fb).bit_count()) == (16, 17, 15)
+    assert points._split(d) is None
+    assert np.array_equal(forced.rows, _enumerate_with(monkeypatch, z, NEVER_SPLIT).rows)
+
+
+def test_joined_sweeps_whole_when_the_join_bound_does_not_pay(monkeypatch):
+    # a side sweep is over the n bits plus one per shared factor, the whole
+    # sweep over the n bits alone: a fallback sweeps one side, then the set
+    sweep, widths = points._sweep, []
+    monkeypatch.setattr(points, "_sweep", lambda d: widths.append(d.n) or sweep(d))
+    fell_back = 0
+    for l1, l2, z in _mink_and_sets():
+        widths.clear()
+        ps = enumerate_points(z)
+        fell_back += len(widths) == 2 and widths[0] > z.n == widths[1]
+        with pytest.MonkeyPatch.context() as mp:
+            assert np.array_equal(ps.rows, _enumerate_with(mp, z, NEVER_SPLIT).rows)
+        assert ps == pointset_gate(Gate.AND, enumerate_points(l1), enumerate_points(l2))
+    assert fell_back >= 1
+
+
+# --- witnesses ---------------------------------------------------------------
+
+
+def test_witness_of_an_unconstrained_set_needs_no_budget(alloc):
+    # 12 bits, 40 degree-2 monomials over 30 factors and one constant column:
+    # far over the factor budget, yet alpha = 0 is admissible, so the set has
+    # the member c XOR the constant column, with or without constraint
+    # columns or rows that constrain nothing
+    rng = np.random.default_rng(3)
+    n, h, p = 12, 41, 30
+    E = np.zeros((p, h), dtype=bool)
+    for j in range(1, h):
+        E[rng.choice(p, size=2, replace=False), j] = True
+    G, c = rng.random((n, h)) < 0.5, rng.integers(0, 2, size=n).astype(bool)
+    z = CPLZ.unconstrained(BitVector.from_bits(c), BitMatrix.from_bool(G), BitMatrix.from_bool(E), alloc.fresh(p))
+    assert drop_inert_ids(z).p > points.DEFAULT_MAX_FACTORS
+    with pytest.raises(BudgetExceeded):
+        enumerate_points(z)
+    expected = BitVector.from_bits(c ^ G[:, 0])
+    no_rows = BitMatrix.from_bool(np.zeros((0, 2), dtype=bool)), BitVector.from_bits([])
+    fixed = BitMatrix.from_bool(np.zeros((2, 0), dtype=bool))
+    for A, b, R in ((*no_rows, BitMatrix.from_bool(rng.random((p, 2)) < 0.5)),
+                    (fixed, BitVector.zeros(2), BitMatrix.from_bool(np.zeros((p, 0), dtype=bool)))):
+        assert witness_point(CPLZ(z.c, z.G, z.E, A, b, R, z.id)) == expected
+    assert witness_point(z) == expected and not is_empty(z)
+    unsat = CPLZ(z.c, z.G, z.E, fixed, BitVector.from01("01"), BitMatrix.from_bool(np.zeros((p, 0), dtype=bool)),
+                 z.id)
+    assert witness_point(unsat) is None and is_empty(unsat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["unconstrained", "constrained", "fixed", "no rows"]))
+def test_witness_is_a_member(seed, kind):
+    rng = np.random.default_rng(seed)
+    z = random_cplz(rng, IdAllocator(), constrained=kind == "constrained")
+    if kind == "fixed":  # 0 == b: every assignment is admissible, or none
+        z = CPLZ(z.c, z.G, z.E, BitMatrix.from_bool(np.zeros((2, 0), dtype=bool)),
+                 BitVector.from_bits(rng.integers(0, 2, size=2)), BitMatrix.from_bool(np.zeros((z.p, 0), dtype=bool)),
+                 z.id)
+    elif kind == "no rows":  # constraint columns without rows constrain nothing
+        z = CPLZ(z.c, z.G, z.E, BitMatrix.from_bool(np.zeros((0, 2), dtype=bool)), BitVector.from_bits([]),
+                 BitMatrix.from_bool(rng.random((z.p, 2)) < 0.5), z.id)
+    ps, w = enumerate_points(z), witness_point(z)
+    assert set(ps.to_bitstrings()) == naive_enumerate(z)
+    assert (w is None) == (len(ps) == 0) == is_empty(z)
+    assert w is None or w in ps
