@@ -8,10 +8,12 @@ no constraints it is a polynomial logical zonotope <c, G, E, id>; with
 identity exponents over fresh ids as well it is a logical zonotope
 <c, G>, the XOR-subset combinations of G added to c.
 
-Every binary operation is one composition: ``_align`` puts the
-operands' exponent and constraint words over one merged id vector, in
-ascending id order, so repeated occurrences of one set stay correlated,
-and the result carries the operands' constraints. Ascending ids keep a
+Every binary operation is one composition, ``_compose``: it puts the
+operands' exponent words over one merged id vector, in ascending id
+order, so repeated occurrences of one set stay correlated, and carries
+the constraints of the operands that have some. Only those operands'
+constraint words move to the merged rows, and their A, b and R compose
+block by block only when two or more have constraints. Ascending ids keep a
 canonical operand's exponent keys sorted in the merged rows, so a gate's
 columns come out in a few sorted runs; a gate whose operand 1 has only
 ids above operand 2's swaps its (symmetric) operands, so the newer
@@ -28,7 +30,7 @@ The public constructor checks shapes and ids and ``BitVector`` and
 operations here build from parts that hold by construction, so they call
 the trusted ``CPLZ._of_parts``, ``BitVector._of_masked`` and
 ``BitMatrix._of_masked`` and pay only for their arithmetic: ids are the
-merged tuple of ``_align``, fresh ids from an ``IdAllocator`` or a subset
+merged tuple of ``_compose``, fresh ids from an ``IdAllocator`` or a subset
 of checked ids, and words are XOR, AND, OR and row moves of masked words,
 with a complement taken as XOR with the pad mask, never ``~``. All values
 are immutable; operations are pure. Only IdAllocator mutates.
@@ -37,7 +39,6 @@ are immutable; operations are pure. Only IdAllocator mutates.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -135,8 +136,9 @@ class ConstrainedPolyLogicalZonotope:
     def _of_parts(cls, c, G, E, A, b, R, ids: tuple) -> "ConstrainedPolyLogicalZonotope":
         """Trust parts whose shapes agree and a tuple of distinct positive
         ids, as the operations below build them from checked operands: ids
-        merged by ``_align``, handed out by an ``IdAllocator``, or a subset
-        of a set's own ids. No checks."""
+        merged by ``_compose`` (which also composes the constraints),
+        handed out by an ``IdAllocator``, or a subset of a set's own ids.
+        No checks."""
         z = object.__new__(cls)
         z.c, z.G, z.E, z.A, z.b, z.R, z.id = c, G, E, A, b, R, ids
         return z
@@ -187,52 +189,35 @@ class ConstrainedPolyLogicalZonotope:
 CPLZ = ConstrainedPolyLogicalZonotope
 
 
-def _align(*sets: CPLZ) -> tuple:
-    """(ids, Es, Rs): the operands' ids merged in ascending order, and each
-    operand's E and R words over them. Rows of a foreign id are zero, so
-    each point set is unchanged. An operand whose ids are a run of the
+def _compose(*sets: CPLZ) -> tuple:
+    """(ids, Es, A, b, R): the operands' ids merged in ascending order, each
+    operand's E words over them, and the constraints of the operands that
+    have some, with their R words over them. Rows of a foreign id are zero,
+    so each point set is unchanged. An operand whose ids are a run of the
     merged ids moves as one block, and one that leads them in as many
     words keeps its own words. A row embedding that keeps the ids' order
     keeps the order of the exponent keys, so the words of a canonical
-    operand with ascending ids stay sorted."""
+    operand with ascending ids stay sorted. Only a constrained operand's R
+    words move; the blocks compose only when two or more operands have
+    constraints, and with none R is a fresh matrix with no columns."""
     ids = tuple(sorted({i for s in sets for i in s.id}))
     p, row = len(ids), None
-    Es, Rs = [], []
+    Es, held = [], []
     for s in sets:
-        own = s.id
-        k = bisect_left(ids, own[0]) if own else 0
-        if own == ids[k : k + len(own)]:
-            rows = range(k, k + len(own))
+        k = bisect_left(ids, s.id[0]) if s.id else 0
+        if s.id == ids[k : k + s.p]:
+            rows = range(k, k + s.p)
         else:
             row = row or {ident: j for j, ident in enumerate(ids)}
-            rows = [row[i] for i in own]
-        Es.append(_move_rows(s.E.data, range(len(own)), rows, p))
-        R = s.R.data
-        if len(R):
-            R = _move_rows(R, range(len(own)), rows, p)
-        elif R.shape[1] != n_words(p):  # no columns to move, only the width to set
-            R = _no_columns(p)
-        Rs.append(R)
-    return ids, Es, Rs
-
-
-@lru_cache(maxsize=None)
-def _no_columns(rows: int) -> np.ndarray:
-    """The read-only words of a matrix with no columns, shared per row count."""
-    data = np.zeros((0, n_words(rows)), dtype=np.uint64)
-    data.setflags(write=False)
-    return data
-
-
-def _constraints(sets: Sequence[CPLZ], Rs: Sequence[np.ndarray]) -> tuple:
-    """(A, b, R words) of the operands' constraints: one block per operand
-    that has some, composed only when two or more do."""
-    held = [(s, R) for s, R in zip(sets, Rs) if s.m or s.q] or [(sets[0], Rs[0])]
-    if len(held) == 1:
-        (s, R), = held
-        return s.A, s.b, R
-    A = blkdiag(*(s.A for s, _ in held))
-    return A, concat(*(s.b for s, _ in held)), np.concatenate([R for _, R in held])
+            rows = [row[i] for i in s.id]
+        Es.append(_move_rows(s.E.data, range(s.p), rows, p))
+        if s.m or s.q:
+            held.append((s, _move_rows(s.R.data, range(s.p), rows, p)))
+    if len(held) < 2:  # nothing to compose: one operand's constraints, or none
+        s, R = held[0] if held else (sets[0], np.zeros((0, n_words(p)), dtype=np.uint64))
+        return ids, Es, s.A, s.b, R
+    A, b = blkdiag(*(s.A for s, _ in held)), concat(*(s.b for s, _ in held))
+    return ids, Es, A, b, np.concatenate([R for _, R in held])
 
 
 def _require_same_dim(c1, c2) -> None:
@@ -282,7 +267,7 @@ def _gate(c1: CPLZ, c2: CPLZ, core: Gate, flip1=False, flip2=False, flip_out=Fal
     _require_same_dim(c1, c2)
     if c1.id and c2.id and min(c1.id) > max(c2.id):
         c1, c2, flip1, flip2 = c2, c1, flip2, flip1
-    ids, (E1, E2), Rs = _align(c1, c2)
+    ids, (E1, E2), A, b, R = _compose(c1, c2)
     n, G1, G2 = c1.c.n, c1.G.data, c2.G.data
     pad = pad_mask(n)  # complements stay masked: x ^ pad, never ~x
     x1 = c1.c.words ^ pad if flip1 else c1.c.words
@@ -296,7 +281,6 @@ def _gate(c1: CPLZ, c2: CPLZ, core: Gate, flip1=False, flip2=False, flip_out=Fal
             raise BudgetExceeded(f"{msg}, over the cap of {MAX_COLUMNS}")
         G = _product(np.bitwise_and, x1, x2, G1, G2)
         c, E = x1 & x2, _product(np.bitwise_or, 0, 0, E1, E2)
-    A, b, R = _constraints((c1, c2), Rs)
     c, p = BitVector._of_masked(n, c ^ pad if flip_out else c), len(ids)
     trusted = BitMatrix._of_masked  # AND, OR and XOR of masked words
     return CPLZ._of_parts(c, trusted(n, G), trusted(p, E), A, b, trusted(p, R), ids)
@@ -347,9 +331,7 @@ def intersect(c1: CPLZ, c2: CPLZ, alloc: IdAllocator) -> CPLZ:
     columns [G1 G2] under the exponent rows [E1 E2] must XOR to c1 XOR c2.
     """
     _require_same_dim(c1, c2)
-    d1, d2 = refresh_ids(c1, alloc), refresh_ids(c2, alloc)
-    ids, (E1, E2), Rs = _align(d1, d2)
-    A, b, R = _constraints((d1, d2), Rs)
+    ids, (E1, E2), A, b, R = _compose(refresh_ids(c1, alloc), refresh_ids(c2, alloc))
     A, b = blkdiag(A, hconcat(c1.G, c2.G)), concat(b, elementwise_gate(Gate.XOR, c1.c, c2.c))
     p, trusted = len(ids), BitMatrix._of_masked
     return CPLZ._of_parts(c1.c, c1.G, trusted(p, E1), A, b, trusted(p, np.concatenate([R, E1, E2])), ids)
@@ -379,9 +361,10 @@ def canonicalize(c: CPLZ) -> CPLZ:
     significant), so a second call returns it unchanged. One-word exponent
     columns (1 <= p <= 64) already in that order, as gates emit them when
     one operand's ids all sit above the other's, skip the sort and the
-    merge; other gate results arrive as a few sorted runs (see ``_align``),
+    merge; other gate results arrive as a few sorted runs (see ``_compose``),
     which the stable sort merges cheaply.
-    Constraints and ids are untouched; never applied implicitly.
+    Constraints and ids are untouched: ``_compose`` is the one place that
+    merges ids and composes A, b and R. Never applied implicitly.
     """
     keys, payloads = c.E.data, c.G.data
     h, w = keys.shape
@@ -415,11 +398,11 @@ def canonicalize(c: CPLZ) -> CPLZ:
 
 def stack(*sets: CPLZ) -> CPLZ:
     """Dependency-preserving cartesian stack: points are [x1(alpha); x2(alpha); ...]
-    over the shared factor vector (see ``_align``), built in one composition;
-    it equals the pairwise fold ``stack(stack(a, b), c)`` bit for bit. Used
-    to measure joint reachable sets."""
-    ids, Es, Rs = _align(*sets)
-    A, b, R = _constraints(sets, Rs)
+    over the shared factor vector, built in one ``_compose`` call, which
+    carries the constrained operands' constraints block by block; it equals
+    the pairwise fold ``stack(stack(a, b), c)`` bit for bit. Used to measure
+    joint reachable sets."""
+    ids, Es, A, b, R = _compose(*sets)
     p, E = len(ids), np.concatenate(Es)
     c, G = concat(*(s.c for s in sets)), blkdiag(*(s.G for s in sets))
     return CPLZ._of_parts(c, G, BitMatrix._of_masked(p, E), A, b, BitMatrix._of_masked(p, R), ids)

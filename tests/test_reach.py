@@ -18,7 +18,7 @@ from logiczono.reach import (
     reach,
 )
 from logiczono.sets import ConstrainedPolyLogicalZonotope as CPLZ
-from logiczono.sets import IdAllocator, canonicalize, drop_inert_ids
+from logiczono.sets import IdAllocator, canonicalize, drop_inert_ids, negate
 from logiczono.setio import load_bindings, load_set, read_json
 from conftest import random_network_setup as _random_network_setup
 from conftest import same_set
@@ -189,6 +189,45 @@ def test_lz_rep_superset_of_exact(alloc):
         for k in range(steps + 1):
             assert lz.size(k) >= exact.size(k)
             assert enumerate_points(exact.joint(k)).issubset(enumerate_points(lz.joint(k)))
+
+
+def _flipped(ps: PointSet) -> PointSet:
+    return PointSet.from_bitstrings(["".join("10"[int(b)] for b in s) for s in ps.to_bitstrings()])
+
+
+@pytest.mark.parametrize("mode, j, k", [("exact", 2, 2), ("minkowski", 1, 1)])
+def test_restarting_from_a_reached_step_reaches_the_same_points(alloc, mode, j, k):
+    # j steps, then k more from the sets reached at step j, reach the points of
+    # one run of j + k steps: with a reused input map, and with the tail of a
+    # per-step list whose odd steps bind the complemented inputs. Exact runs
+    # equal exhaustive_reach; Minkowski runs contain it. The lz mode is left
+    # out: reach re-flattens each initial set with fresh ids, so a restarted lz
+    # run decorrelates states that share ids (after ``next s1 = s0``, s0 and s1
+    # share them) and may reach more points than the single run.
+    rng = np.random.default_rng(91)
+    checked = 0
+    for _ in range(30):
+        net, init, inputs, init_pts, input_pts = _random_network_setup(rng, alloc)
+        odd = lambda s, x, flip: x if s % 2 == 0 else {u: flip(v) for u, v in x.items()}
+        per_step = [odd(s, inputs, negate) for s in range(j + k)]
+        per_step_pts = [odd(s, input_pts, _flipped) for s in range(j + k)]
+        for ins, pts, tail in ((inputs, input_pts, inputs), (per_step, per_step_pts, per_step[j:])):
+            oracle = exhaustive_reach(net, init_pts, pts, j + k)
+            try:
+                full = reach(ReachProblem(net=net, init=init, inputs=ins, steps=j + k), mode=mode, alloc=alloc)
+                first = reach(ReachProblem(net=net, init=init, inputs=ins, steps=j), mode=mode, alloc=alloc)
+                rest = reach(ReachProblem(net=net, init=first.steps[j], inputs=tail, steps=k), mode=mode, alloc=alloc)
+                for i in range(1, k + 1):
+                    got = enumerate_points(rest.joint(i))
+                    assert got == enumerate_points(full.joint(j + i))
+                    if mode == "exact":
+                        assert got == oracle[j + i]
+                    else:
+                        assert oracle[j + i].issubset(got)
+                    checked += 1
+            except BudgetExceeded:
+                assert mode == "minkowski"
+    assert checked >= 50 * k
 
 
 def _denormalized(s: CPLZ, alloc) -> CPLZ:

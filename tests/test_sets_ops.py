@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logiczono.bitvec import BitMatrix, BitVector, Gate, _move_rows, pad_mask
+from logiczono.bitvec import BitMatrix, BitVector, Gate, _move_rows, blkdiag, concat, n_words, pad_mask
 from logiczono.errors import DimensionError
 from logiczono.points import PointSet, enumerate_points
 from logiczono.sets import (
     ConstrainedPolyLogicalZonotope as CPLZ,
     IdAllocator,
-    _align,
+    _compose,
     apply_gate,
     canonicalize,
     drop_inert_ids,
@@ -55,24 +55,51 @@ def test_unique_ids_monotone():
     assert alloc.fresh(0) == []
 
 
-def test_align_keeps_identical_ids(alloc):
-    a = random_cplz(np.random.default_rng(0), IdAllocator(), n=2)
+def _placed(z, m, ids):
+    """Bool reference keyed by id: z's row of each id at that id's merged row, foreign rows zero."""
+    by_id = dict(zip(z.id, m.to_bool()))
+    ref = np.zeros((len(ids), m.cols), dtype=bool)
+    for k, ident in enumerate(ids):
+        if ident in by_id:
+            ref[k] = by_id[ident]
+    return BitMatrix.from_bool(ref).data
+
+
+def _assert_composed_constraints(sets, ids, A, b, R):
+    """A, b and R are the constrained operands' blocks, R's rows placed by id."""
+    held = [z for z in sets if z.m or z.q]
+    if not held:
+        assert A.rows == A.cols == b.n == 0 and R.shape == (0, n_words(len(ids)))
+        return
+    assert A == blkdiag(*(z.A for z in held)) and b == concat(*(z.b for z in held))
+    assert np.array_equal(R, np.concatenate([_placed(z, z.R, ids) for z in held]))
+
+
+def test_compose_keeps_identical_ids(alloc):
+    a = random_cplz(np.random.default_rng(0), IdAllocator(), n=2, p=3, constrained=True)
     b = CPLZ(a.c, a.G, a.E, a.A, a.b, a.R, a.id)
-    ids, (E1, E2), (R1, R2) = _align(a, b)
+    free = CPLZ.unconstrained(a.c, a.G, a.E, a.id)
+    ids, (E1, E2), A, bb, R = _compose(a, b)
     assert ids == a.id
-    assert E1 is a.E.data and E2 is b.E.data and R1 is a.R.data and R2 is b.R.data
+    assert E1 is a.E.data and E2 is b.E.data
+    _assert_composed_constraints((a, b), ids, A, bb, R)
+    # one constrained operand: its own constraint parts, nothing composed
+    ids, (E1, E2), A, bb, R = _compose(free, a)
+    assert E1 is free.E.data and E2 is a.E.data
+    assert A is a.A and bb is a.b and R is a.R.data
 
 
-def test_align_disjoint_ids(alloc):
+def test_compose_disjoint_ids(alloc):
     x = two_valued(alloc)  # id [1]
     y = two_valued(alloc)  # id [2]
-    ids, (E1, E2), _ = _align(x, y)
+    ids, (E1, E2), A, b, R = _compose(x, y)
     assert list(ids) == [1, 2]
     assert BitMatrix(2, E1).column(0).to01() == "10"
     assert BitMatrix(2, E2).column(0).to01() == "01"
+    _assert_composed_constraints((x, y), ids, A, b, R)
 
 
-def test_align_overlapping_ids_keeps_the_points():
+def test_compose_overlapping_ids_keeps_the_points():
     # ids [1,3] and [3,2] merge to [1,2,3], point sets untouched
     rng = np.random.default_rng(5)
     a1 = IdAllocator()
@@ -84,10 +111,11 @@ def test_align_overlapping_ids_keeps_the_points():
     while y.p != 2:
         y = random_cplz(rng, a1, n=3, p_max=2)
     y = CPLZ(y.c, y.G, y.E, y.A, y.b, y.R, [3, 2])
-    ids, Es, Rs = _align(x, y)
+    ids, Es, A, b, R = _compose(x, y)
     assert list(ids) == [1, 2, 3]
-    for z, E, R in zip((x, y), Es, Rs):
-        z2 = CPLZ(z.c, z.G, BitMatrix(3, E), z.A, z.b, BitMatrix(3, R), ids)
+    _assert_composed_constraints((x, y), ids, A, b, R)
+    for z, E in zip((x, y), Es):
+        z2 = CPLZ(z.c, z.G, BitMatrix(3, E), z.A, z.b, BitMatrix(3, _placed(z, z.R, ids)), ids)
         assert set(enumerate_points(z2).to_bitstrings()) == naive_enumerate(z)
 
 
@@ -126,32 +154,24 @@ def _operand_over(rng, ids, constrained, n=3):
     seed=st.integers(0, 2**32 - 1),
     p1=st.sampled_from([0, 1, 63, 64, 65, 100]),
     relation=st.sampled_from(ID_RELATIONS),
-    constrained=st.booleans(),
+    constrained=st.sampled_from(["none", "first", "second", "both"]),
 )
-def test_align_and_stack_place_rows_by_id_across_words(seed, p1, relation, constrained):
+def test_compose_and_stack_place_rows_by_id_across_words(seed, p1, relation, constrained):
     rng = np.random.default_rng(seed)
     alloc = IdAllocator()
     id1 = alloc.fresh(p1)
-    x = _operand_over(rng, id1, constrained)
-    y = _operand_over(rng, _related_ids(rng, alloc, id1, relation), constrained)
-    merged, Es, Rs = _align(x, y)
+    x = _operand_over(rng, id1, constrained in ("first", "both"))
+    y = _operand_over(rng, _related_ids(rng, alloc, id1, relation), constrained in ("second", "both"))
+    merged, Es, A, b, R = _compose(x, y)
     joint = stack(x, y)
     ids = tuple(sorted(set(x.id) | set(y.id)))
     assert merged == joint.id == ids
-
-    def placed(z, m):
-        # bool reference keyed by id: z's row of each id at that id's merged row, foreign rows zero
-        by_id = dict(zip(z.id, m.to_bool()))
-        ref = np.zeros((len(ids), m.cols), dtype=bool)
-        for k, ident in enumerate(ids):
-            if ident in by_id:
-                ref[k] = by_id[ident]
-        return BitMatrix.from_bool(ref).data
-
-    for z, E, R in zip((x, y), Es, Rs):
-        assert np.array_equal(E, placed(z, z.E)) and np.array_equal(R, placed(z, z.R))
-    both = lambda f: np.concatenate([placed(x, getattr(x, f)), placed(y, getattr(y, f))])
-    assert np.array_equal(joint.E.data, both("E")) and np.array_equal(joint.R.data, both("R"))
+    for z, E in zip((x, y), Es):
+        assert np.array_equal(E, _placed(z, z.E, ids))
+    _assert_composed_constraints((x, y), ids, A, b, R)
+    assert np.array_equal(joint.E.data, np.concatenate([_placed(x, x.E, ids), _placed(y, y.E, ids)]))
+    assert joint.A == A and joint.b == b
+    assert np.array_equal(joint.R.data, R)
 
 
 @settings(max_examples=100, deadline=None)
@@ -833,7 +853,7 @@ def test_trusted_results_revalidate(seed, n, ps, starts):
 
 @pytest.mark.parametrize("p_big", [4, 70])
 def test_gates_on_fresh_operand_emit_increasing_keys(rng, alloc, p_big):
-    # operand 2's ids are new to operand 1, so _align puts them above operand 1's
+    # operand 2's ids are new to operand 1, so _compose puts them above operand 1's
     for _ in range(20):
         big = canonicalize(spread_factors(rng, random_cplz(rng, alloc, n=3, h_max=8, p_max=4), alloc, p_big))
         fresh = canonicalize(random_lz(rng, alloc, 3, 1))
