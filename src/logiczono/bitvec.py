@@ -7,6 +7,13 @@ are kept at zero; every constructor and gate maintains that invariant.
 
 Textual form: index 0 is the leftmost character, e.g. "1010" has bit 0
 set, bit 1 clear.
+
+Row moves (``_move_rows``: ``blkdiag``, ``select_rows`` and the merged
+factor rows of ``sets``) place bits of every column at new row positions
+a run of rows at a time, on whole columns of words. Their runs are
+planned on Python ints, so a move costs about one numpy call per run:
+one shift for a block that lands in one word, and one mask, one shift
+and one OR for any other run inside one word.
 """
 
 from __future__ import annotations
@@ -161,56 +168,58 @@ def complement(a: BitVector) -> BitVector:
 
 def _move_rows(words: np.ndarray, src: Sequence[int], dst: Sequence[int], nbits: int) -> np.ndarray:
     """Packed rows of nbits bits that hold bit src[k] of each row at bit dst[k]
-    and zeros elsewhere.
+    and zeros elsewhere: the bit gather/scatter of Warren, *Hacker's
+    Delight* (2nd ed., 2012), section 7-4, one run of bits at a time.
 
     The runs of (src, dst), maximal stretches that step by one on both
-    sides, are found once by arithmetic: a step-one range has no break, any
-    other sequence breaks where its difference is not one. A run moves in
-    pieces that stay in one word on each side, each by at most one shift
-    and one mask. The mask is left out where the shift already clears every
-    bit outside the piece, or where the bits above it are the padding of a
-    source given as range(n), which callers pass masked and n rows high.
-    The first piece into a result word writes it, later ones OR into it,
-    and only words that no piece reaches are zeroed. A block at offset 0 in
-    as many words is ``words`` itself."""
+    sides, are planned once on Python ints; two step-one ranges are one
+    run. A source given as range(n) is a block, which callers pass masked
+    and n rows high, so its bits past row n are zero. Cost, in numpy calls
+    on the rows: a block at offset 0 in as many words is ``words`` itself;
+    a block that lands in one word is one shift; every other run that stays
+    in one word on each side is one mask, one shift and one OR into a
+    zeroed result column, and a run that crosses a word boundary on either
+    side moves as such pieces, word by word. The mask is left out where the
+    shift already clears every bit outside the piece, or where the bits
+    above it are a block's zero bits."""
     n, nw = len(src), n_words(nbits)
-    whole = isinstance(src, range) and src.step == 1
-    if whole and isinstance(dst, range) and dst.step == 1:
+    if isinstance(src, range) and isinstance(dst, range) and src.step == dst.step == 1:
         if src.start == dst.start == 0 and words.shape[1] == nw:
             return words
-        starts = [0] if n else []
+        runs = [(src.start, dst.start, n)] if n else []
     else:
-        breaks = None
-        for side in (src, dst):
-            if not (isinstance(side, range) and side.step == 1):
-                side = np.asarray(side)
-                b = side[1:] - side[:-1] != 1
-                breaks = b if breaks is None else breaks | b
-        starts = [0, *(k + 1 for k in breaks.nonzero()[0].tolist())] if n else []
-    top = n if whole and src.start == 0 else -1
-    out = np.empty((words.shape[0], nw), dtype=np.uint64)
-    blank = [True] * nw
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        s, d, left = int(src[lo]), int(dst[lo]), hi - lo
+        runs, ps, pd = [], -2, -2  # [s, d, length] of each run
+        for s, d in zip(src, dst):
+            if s == ps + 1 and d == pd + 1:
+                runs[-1][2] += 1
+            else:
+                runs.append([s, d, 1])
+            ps, pd = s, d
+    top = n if isinstance(src, range) and src.step == 1 and src.start == 0 else -1
+    if top >= 0 and len(runs) == 1:
+        wd, do = divmod(runs[0][1], WORD_BITS)
+        if do + n <= WORD_BITS:  # a block that lands in one word: one shift
+            if nw == 1:
+                return np.left_shift(words if words.shape[1] == 1 else words[:, :1], do)
+            out = np.zeros((words.shape[0], nw), dtype=np.uint64)
+            np.left_shift(words[:, 0], do, out=out[:, wd])
+            return out
+    out = np.zeros((words.shape[0], nw), dtype=np.uint64)
+    if not out.size:
+        return out
+    for s, d, left in runs:
         while left:
             (ws, so), (wd, do) = divmod(s, WORD_BITS), divmod(d, WORD_BITS)
             take = min(left, WORD_BITS - so, WORD_BITS - do)
-            first, x = blank[wd], words[:, ws]
-            into = out[:, wd] if first else None
-            if so != do:
-                x = into = (np.right_shift if so > do else np.left_shift)(x, abs(so - do), out=into)
+            x, into, own = words[:, ws], out[:, wd], None
             # the shift keeps source bits below the piece when both offsets
             # are nonzero, and those above it when it ends inside both words
             if min(so, do) or (max(so, do) + take < WORD_BITS and s + take != top):
-                x = np.bitwise_and(x, ((1 << take) - 1) << do, out=into)
-            if not first:
-                out[:, wd] |= x
-            elif x is not into:  # neither shifted nor masked
-                out[:, wd] = x
-            blank[wd] = False
+                x = own = np.bitwise_and(x, ((1 << take) - 1) << so)
+            if so != do:
+                x = (np.right_shift if so > do else np.left_shift)(x, abs(so - do), out=own)
+            np.bitwise_or(into, x, out=into)
             s, d, left = s + take, d + take, left - take
-    if any(blank):
-        out[:, [w for w, b in enumerate(blank) if b]] = 0
     return out
 
 

@@ -14,7 +14,7 @@ import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
-from .bitvec import BitVector, concat
+from .bitvec import BitVector, _unique_rows, concat
 from .errors import BudgetExceeded, DimensionError
 from .network import NetworkSpec, eval_expr_point, eval_expr_sets
 from .points import (
@@ -127,6 +127,18 @@ class ReachResult:
         return _budgeted(count_points, self.joint(k), self.budget, f"step {k} joint state set")
 
 
+def _is_flat(s: CPLZ) -> bool:
+    """Whether s already is what ``lz_flatten`` returns, up to ids: no
+    constraints, each exponent column a distinct unit vector and pairwise
+    distinct nonzero payloads."""
+    if s.m or s.q:
+        return False
+    E = s.E.to_bool()
+    if not (E.sum(axis=0) == 1).all() or (E.sum(axis=1) > 1).any():
+        return False
+    return bool(s.G.data.any(axis=1).all()) and len(_unique_rows(s.G.data.copy())) == s.h
+
+
 def reach(
     problem: ReachProblem,
     mode: str = EXACT,
@@ -142,7 +154,9 @@ def reach(
     the run (the initial sets, a reused input map, or each step's copies
     of a per-step input list) or leaves a gate, so every state set, step 0
     included, is in the run's normal form; a step's time leaves out the
-    normalization of a reused map. A gate over ``sets.MAX_COLUMNS`` fails
+    normalization of a reused map. An "lz" run takes an initial set that
+    is already flat (``_is_flat``) as it is, ids included, so j steps and
+    then k more from the sets of step j reach the sets of j + k steps. A gate over ``sets.MAX_COLUMNS`` fails
     naming the step and the state, and the ``BudgetExceeded`` carries the
     steps built before it as ``partial``. Nothing is enumerated here: the
     result keeps ``budget`` for its joint counts (``ReachResult.size``)
@@ -156,11 +170,14 @@ def reach(
     if mode == "lz":
         mode = MINKOWSKI
         normalize = lambda s: lz_flatten(s, alloc)
+        # a flat initial set keeps its ids, so a run restarted from a step's
+        # sets keeps the ids its states share and is the tail of one run
+        start = lambda s: s if _is_flat(s) else normalize(s)
     else:
         # merged monomials and no inert factor rows: the point set is kept
-        normalize = lambda s: drop_inert_ids(canonicalize(s))
+        normalize = start = lambda s: drop_inert_ids(canonicalize(s))
 
-    env = {name: normalize(s) for name, s in problem.init.items()}
+    env = {name: start(s) for name, s in problem.init.items()}
     result = ReachResult(state_names=problem.net.state_names, budget=budget)
     result.steps.append(env)
     result.times.append(0.0)

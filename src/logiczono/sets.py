@@ -359,10 +359,13 @@ def canonicalize(c: CPLZ) -> CPLZ:
     center; zero payloads drop. The result has pairwise-distinct nonzero
     exponent columns, increasing as packed integers (last word most
     significant), so a second call returns it unchanged. One-word exponent
-    columns (1 <= p <= 64) already in that order, as gates emit them when
-    one operand's ids all sit above the other's, skip the sort and the
-    merge; other gate results arrive as a few sorted runs (see ``_compose``),
-    which the stable sort merges cheaply.
+    columns (1 <= p <= 64) are one 1-D column of keys: a stable
+    ``argsort`` sorts them where wider keys take a ``lexsort`` (both give
+    the same order), and their key starts, like the zero payloads of a
+    one-word G, are found on 1-D words. One-word keys already in order,
+    as gates emit them when one operand's ids all sit above the other's,
+    skip the sort and the merge; other gate results arrive as a few
+    sorted runs (see ``_compose``), which the stable sort merges cheaply.
     Constraints and ids are untouched: ``_compose`` is the one place that
     merges ids and composes A, b and R. Never applied implicitly.
     """
@@ -372,26 +375,32 @@ def canonicalize(c: CPLZ) -> CPLZ:
         return c
     # per call, count_nonzero, tolist and the array methods cost less than
     # ndarray.all and .any and the np.take and np.compress wrappers
-    if not (w == 1 and not np.count_nonzero(keys[1:, 0] <= keys[:-1, 0])):
-        # lexsort is stable: columns with one key keep their order
-        order = np.lexsort(keys.T) if w else np.arange(h)
-        keys, payloads = keys.take(order, axis=0), payloads.take(order, axis=0)
+    one = w == 1
+    k = keys[:, 0] if one else keys
+    if not (one and not np.count_nonzero(k[1:] <= k[:-1])):
+        # both sorts are stable: columns with one key keep their order
+        order = k.argsort(kind="stable") if one else np.lexsort(keys.T) if w else np.arange(h)
+        k, payloads = k.take(order, axis=0), payloads.take(order, axis=0)
         first = np.empty(h, dtype=bool)  # the columns that start a key
         first[0] = True
-        np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
+        if one:
+            np.not_equal(k[1:], k[:-1], out=first[1:])
+        else:
+            np.any(k[1:] != k[:-1], axis=1, out=first[1:])
         if np.count_nonzero(first) < h:
             first = first.nonzero()[0]
             payloads = np.bitwise_xor.reduceat(payloads, first, axis=0)
-            keys = keys.take(first, axis=0)
+            k = k.take(first, axis=0)
     center = c.c
-    if not any(keys[0].tolist()):  # the constant monomial sorts first
+    if not (k[0] if one else any(k[0].tolist())):  # the constant monomial sorts first
         center = BitVector._of_masked(c.n, c.c.words ^ payloads[0])
-        keys, payloads = keys[1:], payloads[1:]
-    keep = payloads.any(axis=1)
+        k, payloads = k[1:], payloads[1:]
+    keep = payloads[:, 0] != 0 if payloads.shape[1] == 1 else payloads.any(axis=1)
     if np.count_nonzero(keep) < len(keep):
-        payloads, keys = payloads.compress(keep, axis=0), keys.compress(keep, axis=0)
+        payloads, k = payloads.compress(keep, axis=0), k.compress(keep, axis=0)
     if payloads is c.G.data:  # already in normal form
         return c
+    keys = k.reshape(-1, 1) if one else k
     trusted = BitMatrix._of_masked  # gathered and XORed masked words
     return CPLZ._of_parts(center, trusted(c.n, payloads), trusted(c.p, keys), c.A, c.b, c.R, c.id)
 
@@ -440,5 +449,6 @@ def drop_inert_ids(c: CPLZ) -> CPLZ:
     if used.tobytes() == pad_mask(c.p).tobytes():
         return c
     live = np.flatnonzero(unpack_rows(used[None, :], c.p)[0]).tolist()
-    ids = tuple(c.id[k] for k in live)
-    return CPLZ._of_parts(c.c, c.G, select_rows(c.E, live), c.A, c.b, select_rows(c.R, live), ids)
+    ids, p = tuple(c.id[k] for k in live), len(live)
+    R = select_rows(c.R, live) if c.q else BitMatrix._of_masked(p, np.zeros((0, n_words(p)), dtype=np.uint64))
+    return CPLZ._of_parts(c.c, c.G, select_rows(c.E, live), c.A, c.b, R, ids)

@@ -298,21 +298,51 @@ def _run_positions(rng, lengths):
     return [int(k) for k in positions], at + int(rng.integers(0, 8))
 
 
-@settings(max_examples=300, deadline=None)
+def _ordered_runs(rng, lengths):
+    """Positions made of contiguous runs of the given lengths, in order, with a
+    gap of 1-15 rows before each run; returns them with a row count."""
+    positions, at = [], 0
+    for n in lengths:
+        at += int(rng.integers(1, 16))
+        positions += range(at, at + int(n))
+        at += int(n)
+    return positions, at + int(rng.integers(0, 8))
+
+
+def _moved_reference(a: np.ndarray, src, dst, nbits: int) -> np.ndarray:
+    """The packed rows of nbits bits holding row src[k] of the bool rows a at
+    row dst[k], built in the bool domain."""
+    moved = np.zeros((nbits, a.shape[1]), dtype=bool)
+    moved[list(dst)] = a[list(src)]
+    return BitMatrix.from_bool(moved).data
+
+
+@settings(max_examples=400, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    runs=st.integers(1, 4),
+    runs=st.integers(1, 6),
     cols=st.integers(0, 3),
     width=st.sampled_from([None, 1, 63, 64, 65]),
+    layout=st.sampled_from(["shuffled", "up", "down"]),
 )
-def test_row_moves_by_runs_match_bool_reference(seed, runs, cols, width):
+def test_row_moves_by_runs_match_bool_reference(seed, runs, cols, width, layout):
     rng = np.random.default_rng(seed)
-    if width is None:
-        # a few contiguous runs at random starts on each side (up to 200 rows), so
+    if width is None and layout == "shuffled":
+        # a few contiguous runs at random starts on each side (a few hundred rows), so
         # runs cross word boundaries on the source side, the destination side or both
         lengths = rng.integers(1, 36, size=runs)
         src, src_rows = _run_positions(rng, lengths)
         dst, dst_rows = _run_positions(rng, lengths)
+    elif width is None:
+        # 1 to 6 runs spread upward from a whole masked block, as the merged
+        # factor rows of a set operation take them, or gathered downward into
+        # one, as a drop of inert factor rows does; sources may pass 64 bits
+        lengths = rng.integers(1, 36, size=runs)
+        spread, spread_rows = _ordered_runs(rng, lengths)
+        block = range(len(spread))
+        src, dst, src_rows, dst_rows = (
+            (block, spread, len(block), spread_rows) if layout == "up" else (spread, block, spread_rows, len(block))
+        )
     else:
         # most rows of a width-row result, its top row and row 63 included, so
         # runs end at bit 63 and at the top bit; the same runs on the source side
@@ -322,16 +352,15 @@ def test_row_moves_by_runs_match_bool_reference(seed, runs, cols, width):
         src, dst_rows = [k + shift for k in dst], width
         src_rows = src[-1] + 1 + int(rng.integers(1, 70))
     a = rng.integers(0, 2, size=(src_rows, cols)).astype(bool)
-    moved = np.zeros((dst_rows, cols), dtype=bool)
-    moved[dst] = a[src]
     words = _move_rows(BitMatrix.from_bool(a).data, src, dst, dst_rows)
-    assert np.array_equal(words, BitMatrix.from_bool(moved).data)
-    block = BitMatrix.from_bool(a[src])
+    assert np.array_equal(words, _moved_reference(a, src, dst, dst_rows))
+    block = BitMatrix.from_bool(a[list(src)])
     assert np.array_equal(_move_rows(block.data, range(len(dst)), dst, dst_rows), words)
+    assert np.array_equal(_move_rows(block.data, list(range(len(dst))), dst, dst_rows), words)
     assert select_rows(BitMatrix.from_bool(a), src) == block
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     rows=ROW_COUNTS,
@@ -340,8 +369,10 @@ def test_row_moves_by_runs_match_bool_reference(seed, runs, cols, width):
     width=st.sampled_from([None, 1, 63, 64, 65]),
 )
 def test_block_moves_match_the_run_by_run_path(seed, rows, offset, cols, width):
-    # a whole masked block moved by two ranges, as blkdiag, concat and _align
-    # move it, equals the same move given as plain lists, bit for bit
+    # a whole masked block moved by two ranges, as blkdiag, concat and _compose
+    # move it, equals the same move given as plain lists and the bool
+    # reference, bit for bit: at offset 0 (the identity), inside one word, and
+    # across words
     rng = np.random.default_rng(seed)
     nbits = offset + rows + int(rng.integers(0, 70))
     if width is not None:
@@ -350,16 +381,27 @@ def test_block_moves_match_the_run_by_run_path(seed, rows, offset, cols, width):
         end = 64 if width >= 64 and rng.random() < 0.5 else width
         rows = min(rows, end)
         offset = end - rows
-    block = BitMatrix.from_bool(rng.integers(0, 2, size=(rows, cols)).astype(bool))
+    a = rng.integers(0, 2, size=(rows, cols)).astype(bool)
+    block = BitMatrix.from_bool(a)
     src, dst = range(rows), range(offset, offset + rows)
     moved = _move_rows(block.data, src, dst, nbits)
     assert np.array_equal(moved, _move_rows(block.data, list(src), list(dst), nbits))
+    assert np.array_equal(moved, _moved_reference(a, src, dst, nbits))
     if offset == 0 and block.data.shape[1] == moved.shape[1]:
         assert moved is block.data
     # a range of a larger matrix's rows, as select_rows takes it: the source
-    # words hold rows past the moved ones
+    # words hold rows past the moved ones, and the selection stays masked
     m = BitMatrix.from_bool(rng.integers(0, 2, size=(nbits, cols)).astype(bool))
-    assert select_rows(m, dst) == select_rows(m, list(dst)) == BitMatrix.from_bool(m.to_bool()[dst])
+    picked = select_rows(m, dst)
+    assert picked == select_rows(m, list(dst)) == BitMatrix.from_bool(m.to_bool()[dst])
+    assert not np.count_nonzero(picked.data & ~pad_mask(rows))
+    # range(lo, lo + rows) with lo > 0 moved to the offset of a taller result:
+    # the source rows past the range must not leak into the result's rows
+    lo = int(rng.integers(1, 70))
+    tall = rng.integers(0, 2, size=(lo + rows + int(rng.integers(1, 70)), cols)).astype(bool)
+    src = range(lo, lo + rows)
+    moved = _move_rows(BitMatrix.from_bool(tall).data, src, dst, nbits + 1)
+    assert np.array_equal(moved, _moved_reference(tall, src, dst, nbits + 1))
 
 
 def test_identity():

@@ -811,6 +811,34 @@ def test_canonicalize_matches_monomial_dict(seed, n, p, shape):
     assert (out.A, out.b, out.R, out.id) == (z.A, z.b, z.R, z.id)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 3, 65]),
+    p=st.sampled_from([1, 2, 30, 63, 64]),
+    shape=st.sampled_from(["random", "ordered", "leading_constant", "all_constant", "constrained"]),
+)
+def test_canonicalize_agrees_across_key_widths(seed, n, p, shape):
+    # 64 inert factor rows with ids above the set's make its keys two words
+    # wide: canonicalize then sorts them by lexsort, not by the one-word
+    # argsort, and dropping the inert rows again gives the one-word result
+    # column for column (the drop also takes any row canonicalize left inert)
+    rng, alloc = np.random.default_rng(seed), IdAllocator()
+    if shape == "constrained":
+        z = random_cplz(rng, alloc, n=n, h_max=12, p=p, constrained=True)
+    else:
+        z = monomial_input(rng, alloc, n, p, shape)
+    inert = np.zeros((64, z.h), dtype=bool), np.zeros((64, z.q), dtype=bool)
+    wide = CPLZ(
+        z.c, z.G, BitMatrix.from_bool(np.vstack([z.E.to_bool(), inert[0]])), z.A, z.b,
+        BitMatrix.from_bool(np.vstack([z.R.to_bool(), inert[1]])), z.id + tuple(alloc.fresh(64)),
+    )
+    assert wide.E.data.shape[1] == 2
+    got, want = drop_inert_ids(canonicalize(wide)), drop_inert_ids(canonicalize(z))
+    assert (got.c, got.G, got.E, got.id) == (want.c, want.G, want.E, want.id)
+    assert (got.A, got.b, got.R) == (want.A, want.b, want.R)
+
+
 def rebuilt(z):
     """z through the public constructors, which check every shape and id and mask every word."""
     return CPLZ(
