@@ -15,13 +15,17 @@ Expressions evaluate both over concrete bit vectors (the ground truth
 used by the oracles) and over constrained polynomial logical zonotopes,
 where exact mode keeps repeated occurrences of a variable correlated
 through shared factor ids and minkowski mode treats every operand as
-independent.
+independent. ``NetworkSpec.hoisted`` lifts the subexpressions that read
+only inputs out of the updates, so that ``reach`` can evaluate them once
+per input map.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bitvec import BitVector, Gate, complement, elementwise_gate
 from .errors import (
@@ -69,6 +73,18 @@ class NetworkSpec:
     @property
     def input_names(self) -> list[str]:
         return [name for name, _ in self.inputs]
+
+    @cached_property
+    def hoisted(self) -> tuple[dict[str, Expr], dict[str, Expr], set[str]]:
+        """(updates, subtrees, private): the update expressions with each
+        maximal subtree that reads only inputs lifted out (``_lift``), those
+        subtrees by name, and the inputs whose name occurs once across all
+        updates. Such a subtree gives the same set every step up to ids, and
+        no other set of a step holds a private input's factors."""
+        inputs, subtrees = set(self.input_names), {}
+        updates = {name: _lift(expr, inputs, subtrees) for name, expr in self.updates.items()}
+        uses = Counter(v for expr in self.updates.values() for v in _expr_vars(expr))
+        return updates, {name: expr for expr, name in subtrees.items()}, {u for u in inputs if uses[u] == 1}
 
     def __repr__(self):
         return f"NetworkSpec(states={self.state_names}, inputs={self.input_names})"
@@ -194,6 +210,19 @@ def _expr_vars(expr: Expr):
     else:
         yield from _expr_vars(expr.lhs)
         yield from _expr_vars(expr.rhs)
+
+
+def _lift(expr: Expr, inputs: set[str], subtrees: dict[Expr, str]) -> Expr:
+    """expr with each maximal subtree that reads only inputs, bare inputs
+    aside, replaced by a variable named after it in ``subtrees`` (equal
+    subtrees share one name, which no declared variable can take)."""
+    if isinstance(expr, Var):
+        return expr
+    if set(_expr_vars(expr)) <= inputs:
+        return Var(subtrees.setdefault(expr, f"<{len(subtrees)}>"))
+    if isinstance(expr, Not):
+        return Not(_lift(expr.operand, inputs, subtrees))
+    return BinOp(expr.op, _lift(expr.lhs, inputs, subtrees), _lift(expr.rhs, inputs, subtrees))
 
 
 def parse_network(text: str) -> NetworkSpec:

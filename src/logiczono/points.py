@@ -44,15 +44,28 @@ measured as the crossover on the shipped circuit's joints. Every value
 of the shared factors occurs on both sides, so ``_split`` counts the
 join as at least 2^|S| rows; after sweeping side A, ``_joined`` bounds
 it from above by K * 2^|F_B - S| for side A's K keys and sweeps the set
-whole when that no longer pays. On the shipped demo the joints of steps
+whole when that no longer pays. A split may have no shared factor; then
+the join is a cross product. On the shipped demo the joints of steps
 5-7 split and those of steps 1-4 are swept whole. The budget still
 counts all p live factors of the set, and constrained sets, sets wider
 than 64 bits and sets whose side keys (n bits, then |S|) do not fit one
 word keep the single sweep.
+
+Product counts. When the output rows fall into two or more groups over
+pairwise-disjoint factor sets (``_groups``, merged by ``_disjoint``),
+the groups are independent and ``count_points`` multiplies their
+counts: each group is swept over its own factors (``_side_keys`` with no
+shared factor), with no join and no dedupe of joint points. It does so
+when 2^|F_1| + ... + 2^|F_k| rows, n rows per generator column and the
+fixed ``_PRODUCT_ROWS`` (measured as the crossover on the shipped
+circuit's joints) cost less than the 2^p rows of one sweep. On the
+shipped demo the joints of steps 4-7 are counted so, as B1 and B2 over
+their factors and B3 over its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -80,6 +93,7 @@ MAX_POINTS = 2_000_000  # cap on the points one enumeration emits
 
 _CHUNK_BITS = 20  # sweep in chunks of 2^20 assignments to bound memory
 _SPLIT_ROWS = 1 << 15  # a split's fixed cost, in rows of one sweep
+_PRODUCT_ROWS = 1 << 13  # a product count's fixed cost, in rows of one sweep
 _COLUMN_BLOCK = 1 << 16  # columns per product in _row_factors
 
 
@@ -312,35 +326,57 @@ def _row_factors(d: CPLZ) -> np.ndarray:
     return hits > 0
 
 
-def _pays(d: CPLZ, fa: int, fb: int, join_rows: int) -> bool:
-    """A split with side factors ``fa`` and ``fb`` (mask words) costs less
-    than the 2^p rows of one sweep. In rows of one sweep it costs the
-    2^|F_A| + 2^|F_B| rows its sides sweep, the ``join_rows`` of their
-    join, n rows per generator column (the grouping reads every payload
-    bit, and each side rebuilds its columns) and ``_SPLIT_ROWS``."""
-    swept = (1 << fa.bit_count()) + (1 << fb.bit_count())
-    return swept + join_rows + d.h * d.n + _SPLIT_ROWS < 1 << d.p
+def _pays(d: CPLZ, factors: list[int], join_rows: int, fixed: int) -> bool:
+    """Sweeping d as sides over the factor sets ``factors`` (mask words)
+    costs less than the 2^p rows of one sweep. In rows of one sweep it
+    costs the 2^|F| rows each side sweeps, the ``join_rows`` of their join,
+    n rows per generator column (the grouping reads every payload bit, and
+    each side rebuilds its columns) and a ``fixed`` cost per call."""
+    swept = sum(1 << f.bit_count() for f in factors)
+    return swept + join_rows + d.h * d.n + fixed < 1 << d.p
 
 
-def _split(d: CPLZ) -> tuple[int, int, int] | None:
+def _groups(d: CPLZ, fixed: int) -> list[tuple[int, int]] | None:
+    """(factors, rows) mask words of d's output rows grouped by equal factor
+    sets (``_row_factors``), for a split or a product with that ``fixed``
+    cost; None when neither can pay: d is constrained, has no factor, is
+    wider than 64 bits, or is too small for the fixed cost."""
+    if d.q or not d.p or not 0 < d.n <= 64 or not _pays(d, [], 0, fixed):
+        return None
+    groups: dict[int, int] = {}
+    for i, f in enumerate(pack_bool_rows(_row_factors(d))[:, 0].tolist()):
+        groups[f] = groups.get(f, 0) | 1 << i
+    return list(groups.items())
+
+
+def _disjoint(groups: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The groups merged until their factor sets are pairwise disjoint: a
+    group takes in every group it shares a factor with."""
+    parts: list[tuple[int, int]] = []
+    for f, rows in groups:
+        for g, r in [part for part in parts if part[0] & f]:
+            parts.remove((g, r))
+            f, rows = f | g, rows | r
+        parts.append((f, rows))
+    return parts
+
+
+def _split(d: CPLZ, groups: list[tuple[int, int]] | None = None) -> tuple[int, int, int] | None:
     """(side, fa, fb) when two sides may pay: side A's output rows and the
     factors of sides A and B, all mask words, the side with fewer factors
     first.
 
-    Rows with equal factor sets form groups, and the two groups whose union
-    has the fewest factors merge until two are left. Every value of the
-    shared factors S = fa & fb occurs on both sides of an unconstrained
-    set, so the join has at least 2^|S| rows, and the split is taken when
-    it pays (``_pays``) with that many and a key (the n bits, then one per
-    shared factor) fits one word. ``_joined`` checks again with an upper
-    bound on the join.
+    Of d's row ``groups`` (``_groups``, found here when not given), the two
+    whose union has the fewest factors merge until two are left. Every
+    value of the shared factors S = fa & fb occurs on both sides of an
+    unconstrained set, so the join has at least 2^|S| rows, and the split
+    is taken when it pays (``_pays``) with that many and a key (the n bits,
+    then one per shared factor) fits one word. ``_joined`` checks again
+    with an upper bound on the join.
     """
-    if d.q or not d.p or not 0 < d.n <= 64 or not _pays(d, 0, 0, 0):  # no split pays: skip the grouping
-        return None
-    groups: dict[int, int] = {}  # factor set -> its rows, both as mask words
-    for i, f in enumerate(pack_bool_rows(_row_factors(d))[:, 0].tolist()):
-        groups[f] = groups.get(f, 0) | 1 << i
-    masks, rows = list(groups), list(groups.values())
+    if groups is None:
+        groups = _groups(d, _SPLIT_ROWS) or []
+    masks, rows = [f for f, _ in groups], [r for _, r in groups]
     while len(masks) > 2:
         i, j = min(combinations(range(len(masks)), 2), key=lambda ij: (masks[ij[0]] | masks[ij[1]]).bit_count())
         masks[i] |= masks.pop(j)
@@ -349,7 +385,7 @@ def _split(d: CPLZ) -> tuple[int, int, int] | None:
         return None
     (fa, side), (fb, _) = sorted(zip(masks, rows), key=lambda fr: fr[0].bit_count())
     shared = (fa & fb).bit_count()
-    return (side, fa, fb) if d.n + shared <= 64 and _pays(d, fa, fb, 1 << shared) else None
+    return (side, fa, fb) if d.n + shared <= 64 and _pays(d, [fa, fb], 1 << shared, _SPLIT_ROWS) else None
 
 
 def _side_keys(d: CPLZ, side: int, shared: int) -> np.ndarray:
@@ -391,7 +427,7 @@ def _joined(d: CPLZ, side: int, fa: int, fb: int):
     """
     shared = fa & fb
     ka = _side_keys(d, side, shared)
-    if not _pays(d, fa, fb, len(ka) << (fb & ~shared).bit_count()):
+    if not _pays(d, [fa, fb], len(ka) << (fb & ~shared).bit_count(), _SPLIT_ROWS):
         yield from _sweep(d)
         return
     n, pad = np.uint64(d.n), pad_mask(d.n)[0]
@@ -407,6 +443,15 @@ def _joined(d: CPLZ, side: int, fa: int, fb: int):
         pts |= np.repeat(xa[i : i + step], c)
         if len(pts):
             yield pts[:, None]
+
+
+def _points(d: CPLZ, groups: list[tuple[int, int]] | None = None) -> np.ndarray:
+    """The sorted distinct points of a set with no inert factor, swept whole
+    or, when its row ``groups`` make a split pay, as two sides joined on
+    their shared factors."""
+    plan = _split(d, groups)
+    blocks = _sweep(d) if plan is None else _joined(d, *plan)
+    return _distinct(blocks, n_words(d.n), MAX_POINTS)
 
 
 def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointSet:
@@ -433,18 +478,30 @@ def enumerate_points(c: CPLZ, budget: EnumerationBudget | None = None) -> PointS
         masks = np.uint64(1) << np.arange(r, dtype=np.uint64)
         return PointSet(c.n, kernels.subset_xor(0, masks, basis, table) ^ offset)
     d = _live(c, budget)
-    plan = _split(d)
-    blocks = _sweep(d) if plan is None else _joined(d, *plan)
-    rows = _distinct(blocks, n_words(c.n), MAX_POINTS)
+    rows = _points(d)
     # swept points are masked like c and G, and widening keeps their order
     return PointSet._of_unique(c.n, rows.astype(np.uint64, copy=False))
 
 
 def count_points(c: CPLZ, budget: EnumerationBudget | None = None) -> int:
-    """Cardinality of the point set; affine sets are counted by rank, without
-    materializing."""
+    """Cardinality of the point set. Affine sets are counted by rank, without
+    materializing. An unconstrained set whose output rows fall into groups
+    with pairwise-disjoint factor sets (``_disjoint``) is the product of
+    independent groups, so its count is the product of theirs, each swept
+    over its own factors with no join, when that pays (``_pays`` with
+    ``_PRODUCT_ROWS``); the budget still counts all p live factors."""
+    if _empty_by_constraints(c):
+        return 0
     span = _span_form(c)
-    return len(enumerate_points(c, budget)) if span is None else 1 << len(span[1])
+    if span is not None:
+        return 1 << len(span[1])
+    d = _live(c, budget or DEFAULT_BUDGET)
+    groups = _groups(d, min(_PRODUCT_ROWS, _SPLIT_ROWS))
+    parts = _disjoint(groups) if groups else []
+    if len(parts) > 1 and _pays(d, [f for f, _ in parts], 0, _PRODUCT_ROWS):
+        # a group over no factor is one point
+        return math.prod(len(_side_keys(d, rows, 0)) for f, rows in parts if f)
+    return len(_points(d, groups or []))
 
 
 def witness_point(c: CPLZ, budget: EnumerationBudget | None = None) -> BitVector | None:

@@ -4,7 +4,11 @@ Updates are synchronous: within one step every update expression reads
 the same pre-step state sets, then the environment swaps. Input sets get
 fresh factor ids every step (inputs are a free choice per step), while
 state sets keep their ids so correlations between states propagate
-exactly through the shared-factor operations.
+exactly through the shared-factor operations. A subexpression that reads
+only inputs gives the same set every step up to ids, so with a reused
+input map it is evaluated once per run and renamed each step with the
+inputs; the factors of an input read once across all updates are
+quantified out of it early (``sets.absorb``).
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from .sets import (
     MINKOWSKI,
     ConstrainedPolyLogicalZonotope,
     IdAllocator,
+    absorb,
     canonicalize,
     drop_inert_ids,
     intersect,
     lz_flatten,
     refresh_ids,
+    refresh_shared,
     stack,
 )
 
@@ -109,7 +115,10 @@ class ReachResult:
     """Per-step state sets and wall times of one run, with the enumeration
     budget its counts use (None: the default budget).
 
-    Step 0 holds the initial sets in the run's normal form.
+    Step 0 holds the initial sets in the run's normal form. A step's time
+    covers its gates; with a reused input map it leaves out the work done
+    once per run (normalizing the map and evaluating its input-only
+    subexpressions).
     """
 
     state_names: list[str]
@@ -139,6 +148,14 @@ def _is_flat(s: CPLZ) -> bool:
     return bool(s.G.data.any(axis=1).all()) and len(_unique_rows(s.G.data.copy())) == s.h
 
 
+def _with_subtrees(inputs: dict, subtrees: dict, private: set, mode: str, alloc, normalize) -> dict:
+    """The inputs and the value of each input-only subtree over them, with the
+    factors of the private inputs absorbed (``sets.absorb``)."""
+    own = {i for name in private for i in inputs[name].id}
+    values = {name: absorb(eval_expr_sets(expr, inputs, mode, alloc, normalize), own) for name, expr in subtrees.items()}
+    return {**inputs, **values}
+
+
 def reach(
     problem: ReachProblem,
     mode: str = EXACT,
@@ -153,12 +170,23 @@ def reach(
     overapproximating run. Every set is normalized once, where it enters
     the run (the initial sets, a reused input map, or each step's copies
     of a per-step input list) or leaves a gate, so every state set, step 0
-    included, is in the run's normal form; a step's time leaves out the
-    normalization of a reused map. An "lz" run takes an initial set that
-    is already flat (``_is_flat``) as it is, ids included, so j steps and
-    then k more from the sets of step j reach the sets of j + k steps. A gate over ``sets.MAX_COLUMNS`` fails
-    naming the step and the state, and the ``BudgetExceeded`` carries the
-    steps built before it as ``partial``. Nothing is enumerated here: the
+    included, is in the run's normal form. An "lz" run takes an initial
+    set that is already flat (``_is_flat``) as it is, ids included, so j
+    steps and then k more from the sets of step j reach the sets of j + k
+    steps.
+
+    Each maximal subexpression that reads only inputs
+    (``NetworkSpec.hoisted``) is evaluated once per step map and enters
+    ``eval_expr_sets`` as a bound variable, with the factors of private
+    inputs (read once across all updates) absorbed (``sets.absorb``). A reused map gives each input its
+    own ids, evaluates these subexpressions once, before step 1 and, like
+    its normalization, outside the step times, and renames the inputs and
+    the values each step with one order-preserving id map
+    (``sets.refresh_shared``); a per-step list evaluates them each step.
+
+    A gate over ``sets.MAX_COLUMNS`` fails naming the step and the state
+    (or the input-only subexpressions), and the ``BudgetExceeded`` carries
+    the steps built before it as ``partial``. Nothing is enumerated here: the
     result keeps ``budget`` for its joint counts (``ReachResult.size``)
     and for ``check_unsafe``.
     """
@@ -182,29 +210,42 @@ def reach(
     result.steps.append(env)
     result.times.append(0.0)
 
+    updates, subtrees, private = problem.net.hoisted
+    lifted = lambda inputs, k: _budgeted_step(
+        k, "input-only subexpressions", result, _with_subtrees, inputs, subtrees, private, mode, alloc, normalize
+    )
     if isinstance(problem.inputs, list):
-        step_maps, enter = problem.inputs_for_steps(), lambda s: normalize(refresh_ids(s, alloc))
+        step_maps = problem.inputs_for_steps()
+        enter = lambda m, k: lifted({name: normalize(refresh_ids(s, alloc)) for name, s in m.items()}, k)
     else:
-        # a reused map is normalized once and takes fresh ids each step: the
-        # normal form depends on the order of a set's factor rows, not on ids
-        fixed = {name: normalize(s) for name, s in (problem.inputs or {}).items()}
-        step_maps, enter = itertools.repeat(fixed, problem.steps), lambda s: refresh_ids(s, alloc)
+        # a reused map is normalized and its input-only subtrees evaluated
+        # once; each step renames all of them with one order-preserving map,
+        # since the normal form depends on the order of a set's factor rows,
+        # not on ids. Disjoint ids first: a set bound to two names is two inputs.
+        fixed = {name: refresh_ids(normalize(s), alloc) for name, s in (problem.inputs or {}).items()}
+        fixed = lifted(fixed, 1) if problem.steps else fixed
+        step_maps, enter = itertools.repeat(fixed, problem.steps), lambda m, k: refresh_shared(m, alloc)
 
     for k, step_inputs in enumerate(step_maps, start=1):
         t0 = time.perf_counter()
-        bound = dict(env)
-        for name, s in step_inputs.items():
-            bound[name] = enter(s)
+        bound = {**env, **enter(step_inputs, k)}
         env = {}
         for name in problem.net.state_names:
-            try:
-                env[name] = eval_expr_sets(problem.net.updates[name], bound, mode, alloc, normalize)
-            except BudgetExceeded as exc:
-                msg = f"step {k} update of {name}: {exc}"
-                raise BudgetExceeded(msg, partial=result) from exc
+            env[name] = _budgeted_step(
+                k, f"update of {name}", result, eval_expr_sets, updates[name], bound, mode, alloc, normalize
+            )
         result.steps.append(env)
         result.times.append(time.perf_counter() - t0)
     return result
+
+
+def _budgeted_step(k: int, what: str, result: ReachResult, fn, *args):
+    """fn(*args), with a construction-cap failure naming step k and what was
+    built, and carrying the steps of ``result`` as ``partial``."""
+    try:
+        return fn(*args)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"step {k} {what}: {exc}", partial=result) from exc
 
 
 def _budgeted(fn, s: CPLZ, budget: EnumerationBudget | None, what: str):

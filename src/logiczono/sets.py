@@ -53,8 +53,10 @@ from .bitvec import (
     complement,
     concat,
     elementwise_gate,
+    gf2_basis,
     hconcat,
     n_words,
+    pack_bool_rows,
     pad_mask,
     select_rows,
     unpack_rows,
@@ -437,6 +439,18 @@ def refresh_ids(c: CPLZ, alloc: IdAllocator) -> CPLZ:
     return CPLZ._of_parts(c.c, c.G, c.E, c.A, c.b, c.R, tuple(alloc.fresh(c.p)))
 
 
+def refresh_shared(sets: dict, alloc: IdAllocator) -> dict:
+    """The sets, by name, with brand-new ids under one order-preserving map
+    (fresh ids for the sorted old ones): ids they share stay shared, and
+    their words are untouched."""
+    old = sorted({i for s in sets.values() for i in s.id})
+    new = dict(zip(old, alloc.fresh(len(old))))
+    return {
+        name: CPLZ._of_parts(s.c, s.G, s.E, s.A, s.b, s.R, tuple(map(new.__getitem__, s.id)))
+        for name, s in sets.items()
+    }
+
+
 def drop_inert_ids(c: CPLZ) -> CPLZ:
     """Remove factor rows that are zero in both E and R.
 
@@ -452,3 +466,53 @@ def drop_inert_ids(c: CPLZ) -> CPLZ:
     ids, p = tuple(c.id[k] for k in live), len(live)
     R = select_rows(c.R, live) if c.q else BitMatrix._of_masked(p, np.zeros((0, n_words(p)), dtype=np.uint64))
     return CPLZ._of_parts(c.c, c.G, select_rows(c.E, live), c.A, c.b, R, ids)
+
+
+def absorb(c: CPLZ, private) -> CPLZ:
+    """Quantify the factors in ``private`` (ids that no other set holds) out
+    of an unconstrained set, as early quantification does in symbolic image
+    computation (Burch, Clarke & Long 1991).
+
+    A private factor that occurs only in its own degree-1 column is a free
+    XOR of that column's payload, so the set is X xor V over the span V of
+    those payloads. The center and every other payload are reduced modulo
+    V (``gf2_basis`` rows clear their pivot bits), one such column per
+    basis row keeps its factor with the basis row as payload, and the rest
+    go. For each value of the other factors the reduced point lies in the
+    same coset of V, so the point set is kept; since no other set reads the
+    absorbed factors, every joint with other sets is kept too. The result
+    is in the normal form of ``canonicalize`` and ``drop_inert_ids``; a set
+    with constraints, or with no factor to absorb, is returned as it is.
+    """
+    if c.m or c.q or not c.h:
+        return c
+    own = np.fromiter((i in private for i in c.id), dtype=bool, count=c.p)
+    if not own.any():
+        return c
+    d = canonicalize(c)  # one column per monomial, none of them constant
+    keys, payloads = d.E.data, d.G.data
+    mask = pack_bool_rows(own[None, :])[0]
+    # a unit monomial has one nonzero word, and that word a power of two
+    unit = (np.count_nonzero(keys, axis=1) == 1) & ~(keys & (keys - np.uint64(1))).any(axis=1)
+    if not unit.all():  # leave the factors that a higher-degree monomial reads
+        mask &= ~np.bitwise_or.reduce(keys[~unit], axis=0)
+    free = np.flatnonzero(unit & (keys & mask).any(axis=1))
+    if not len(free):
+        return c
+    basis = gf2_basis(payloads[free])
+    rows = np.concatenate([d.c.words[None, :], payloads])  # the center, then the payloads
+    for row in basis:  # a basis row holds its pivot, its top bit, alone
+        words = row.tolist()
+        w = max(j for j, x in enumerate(words) if x)
+        bit = np.uint64(1 << (words[w].bit_length() - 1))
+        np.bitwise_xor(rows, row, out=rows, where=(rows[:, w] & bit != 0)[:, None])
+    center, G = rows[0], rows[1:]
+    G[free[: len(basis)]] = basis
+    keep = G.any(axis=1)
+    keep[free[len(basis) :]] = False
+    # dropping columns keeps the order and the distinct keys of canonicalize
+    trusted = BitMatrix._of_masked  # XORs of masked words
+    return drop_inert_ids(CPLZ._of_parts(
+        BitVector._of_masked(d.n, center), trusted(d.n, G[keep]), trusted(d.p, keys[keep]),
+        d.A, d.b, d.R, d.id,
+    ))

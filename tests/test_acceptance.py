@@ -258,12 +258,12 @@ def test_criterion_8_safety_verdicts():
 
 def test_criterion_9_and_variant_counts(capsys):
     # the shipped circuit with B2 updated from B1 & B3, on the shipped 2-point
-    # bindings: its counts match exhaustive simulation, and at step 7 its
+    # bindings: its counts match exhaustive simulation, and at step 8 its
     # B2 update passes the construction cap
     run = ["reach", "--net", str(DATA / "circuit3x10_and.bn"), "--enumerate",
            "--init", str(DATA / "circuit3x10_init.json"),
            "--inputs", str(DATA / "circuit3x10_inputs.json")]
-    code = main([*run, "--steps", "6"])
+    code = main([*run, "--steps", "7"])
     counts = [int(line.split()[2]) for line in capsys.readouterr().out.splitlines()[1:]]
 
     def point_bindings(name):
@@ -272,17 +272,17 @@ def test_criterion_9_and_variant_counts(capsys):
 
     net = parse_network((DATA / "circuit3x10_and.bn").read_text())
     oracle = exhaustive_reach(
-        net, point_bindings("circuit3x10_init.json"), point_bindings("circuit3x10_inputs.json"), 6
+        net, point_bindings("circuit3x10_init.json"), point_bindings("circuit3x10_inputs.json"), 7
     )
-    refused = main([*run, "--steps", "7"])
+    refused = main([*run, "--steps", "8"])
     out, err = capsys.readouterr()
     kept = [int(line.split()[2]) for line in out.splitlines()[1:]]
     _report(
-        "criterion 9: AND variant counts match exhaustive simulation; step 7 prints"
-        " rows 1-6 and exits 3",
-        code == 0 and counts == [48, 150, 191, 198, 200, 200]
+        "criterion 9: AND variant counts match exhaustive simulation; step 8 prints"
+        " rows 1-7 and exits 3",
+        code == 0 and counts == [48, 150, 191, 198, 200, 200, 200]
         and [len(p) for p in oracle] == [8, *counts]
-        and refused == 3 and "step 7 update of B2" in err and kept == counts,
-        f"counts {counts}, oracle {[len(p) for p in oracle]}, --steps 7 exit {refused}"
+        and refused == 3 and "step 8 update of B2" in err and kept == counts,
+        f"counts {counts}, oracle {[len(p) for p in oracle]}, --steps 8 exit {refused}"
         f" after rows {kept}",
     )

@@ -197,14 +197,15 @@ def test_reach_example_circuit_minkowski(capsys):
 
 
 def test_reach_construction_budget_exit(tmp_path, capsys, monkeypatch):
-    # with a cap of 200 columns, B3's NAND at step 5 (121 x 2 generators) is
-    # refused; the rows of steps 1-4 are printed first, and no report is written
-    monkeypatch.setattr(sets, "MAX_COLUMNS", 200)
+    # with a cap of 100 columns, B1's OR at step 5 (an AND core of 69 x 1
+    # generators) is refused; the rows of steps 1-4 are printed first, and no
+    # report is written
+    monkeypatch.setattr(sets, "MAX_COLUMNS", 100)
     report = tmp_path / "r.json"
     code = main([*CIRCUIT, "--steps", "5", "--enumerate", "--json", str(report)])
     out, err = capsys.readouterr()
     assert code == 3
-    assert "step 5 update of B3: an AND of 121 x 2 generators" in err
+    assert "step 5 update of B1: an AND of 69 x 1 generators" in err
     rows = [line.split() for line in out.splitlines()[1:]]
     assert [(int(r[0]), int(r[2])) for r in rows] == [(1, 64), (2, 150), (3, 180), (4, 180)]
     assert not report.exists()

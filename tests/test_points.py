@@ -22,6 +22,7 @@ from logiczono.points import (
 from logiczono.sets import (
     ConstrainedPolyLogicalZonotope as CPLZ,
     IdAllocator,
+    canonicalize,
     drop_inert_ids,
     intersect,
     mink_and,
@@ -395,6 +396,33 @@ def test_split_enumeration_matches_the_sweep_and_naive(seed, share, widths):
     assert set(split.to_bitstrings()) == naive_enumerate(z)
     if share == "disjoint":  # factor-disjoint operands are independent
         assert len(split) == math.prod(count_points(s) for s in ops)
+
+
+ALWAYS_PRODUCT = -(1 << 80)  # a _PRODUCT_ROWS that makes every product pay
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from(["disjoint", "partly", "identical"]),
+       widths=st.lists(st.integers(1, 12), min_size=2, max_size=3))
+def test_product_counts_equal_the_enumeration(seed, share, widths):
+    # with every product paying, a stack whose row groups have disjoint factor
+    # sets is counted as the product of one sweep per group, none of them
+    # over a shared factor: an id-disjoint stack of 2 or 3 operands has at
+    # least one group per operand that reads a factor. Id-sharing stacks
+    # have fewer groups. Every count equals the enumeration's length.
+    rng = np.random.default_rng(seed)
+    ops, z = _random_stack(rng, IdAllocator(), share, widths)
+    sides, keys = [], points._side_keys
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "_PRODUCT_ROWS", ALWAYS_PRODUCT)
+        mp.setattr(points, "_side_keys", lambda d, side, shared: (sides.append(shared), keys(d, side, shared))[1])
+        got = count_points(z)
+    assert got == len(enumerate_points(z)) == len(naive_enumerate(z))
+    if share == "disjoint":
+        assert got == math.prod(count_points(s) for s in ops)
+        reading = sum(canonicalize(s).h > 0 for s in ops)
+        if reading >= 2 and points._span_form(z) is None:
+            assert len(sides) >= reading and set(sides) == {0}
 
 
 @pytest.mark.parametrize("seed", range(6))

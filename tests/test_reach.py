@@ -414,14 +414,16 @@ def test_shipped_demo_joint_shapes_stay_bounded(alloc):
 
 
 def test_shipped_demo_counts_split_only_where_it_pays(alloc, monkeypatch):
-    # the joints of steps 5-7 (p = 18, 21, 24) are swept as two sides joined
-    # on their shared factors, those of steps 1-4 whole; the budget still
-    # counts every live factor of the joint, with the same message
+    # the joints of steps 5-7 (p = 18, 21, 24) are enumerated as two sides,
+    # those of steps 1-4 whole; B3's input factors are absorbed, so the sides
+    # (B1 and B2, then B3) share no factor and the join is a cross product.
+    # The budget still counts every live factor of the joint, with the same
+    # message on a smaller joint
     result = reach(_shipped_demo(8, alloc), alloc=alloc)
     joints = [drop_inert_ids(result.joint(k)) for k in range(9)]
     assert [points._split(d) is not None for d in joints[1:8]] == [False] * 4 + [True] * 3
     assert [result.size(k) for k in range(1, 8)] == [64, 150, 180, 180, 180, 180, 180]
-    with pytest.raises(BudgetExceeded, match=r"step 8 joint state set \(h=10520, p=27\): 27 factors exceed"):
+    with pytest.raises(BudgetExceeded, match=r"step 8 joint state set \(h=2324, p=27\): 27 factors exceed"):
         result.size(8)
     split = [enumerate_points(joints[k]) for k in (5, 6)]
     monkeypatch.setattr(points, "_SPLIT_ROWS", 1 << 80)
@@ -497,3 +499,95 @@ def test_a_reused_input_map_builds_the_sets_of_a_per_step_list(alloc, mode):
         except BudgetExceeded:  # minkowski joint sets can pass the sweep budget
             continue
     assert checked >= 6
+
+
+def _absorbed(monkeypatch) -> list:
+    """The input-only subexpression values that reach absorbs factors from."""
+    reach_mod, seen = importlib.import_module("logiczono.reach"), []
+    fn = reach_mod.absorb
+    monkeypatch.setattr(reach_mod, "absorb", lambda s, own: (lambda a: (a is not s and seen.append(a), a)[1])(fn(s, own)))
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["exact", "minkowski", "lz"])
+def test_hoisted_and_absorbed_inputs_keep_the_points(monkeypatch, alloc, mode):
+    # input-only subexpressions are evaluated once per run from a reused map
+    # and once per step from a per-step list, with their private input
+    # factors absorbed: exact runs equal exhaustive_reach, minkowski and lz
+    # runs contain it, and every count (products wherever the row groups are
+    # factor-disjoint) equals the enumeration's length
+    monkeypatch.setattr(points, "_PRODUCT_ROWS", -(1 << 80))
+    absorbed = _absorbed(monkeypatch)
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(100):
+        net, init, inputs, init_pts, input_pts = _random_network_setup(rng, alloc)
+        steps = 3
+        odd = lambda s, x, flip: x if s % 2 == 0 else {u: flip(v) for u, v in x.items()}
+        per_step = [odd(s, inputs, negate) for s in range(steps)]
+        per_step_pts = [odd(s, input_pts, _flipped) for s in range(steps)]
+        for ins, pts in ((inputs, input_pts), (per_step, per_step_pts)):
+            oracle = exhaustive_reach(net, init_pts, pts, steps)
+            try:
+                res = reach(ReachProblem(net=net, init=init, inputs=ins, steps=steps), mode=mode, alloc=alloc)
+                for k in range(steps + 1):
+                    got = enumerate_points(res.joint(k))
+                    assert got == oracle[k] if mode == "exact" else oracle[k].issubset(got)
+                    assert res.size(k) == len(got)
+                checked += 1
+            except BudgetExceeded:
+                assert mode != "exact"
+    assert checked >= 100
+    assert mode != "exact" or len(absorbed) >= 10
+
+
+@pytest.mark.parametrize("per_step", [False, True])
+def test_one_set_bound_to_two_inputs_stays_two_inputs(alloc, per_step):
+    # u and v bound to one set are two independent inputs: u ^ v takes both
+    # values of {c ^ c, c ^ ~c}, though u ^ v is hoisted and absorbed
+    net = parse_network("state a[2]\ninput u[2], v[2]\nnext a = u ^ v\n")
+    pair = points_set(["01", "10"], alloc)
+    inputs = {"u": pair, "v": pair}
+    problem = ReachProblem(net=net, init={"a": points_set(["00"], alloc)},
+                           inputs=[inputs] * 2 if per_step else inputs, steps=2)
+    assert [reach(problem, alloc=alloc).size(k) for k in range(3)] == [1, 2, 2]
+
+
+@pytest.mark.parametrize("updates", [
+    "next a = a ^ u\nnext b = b ^ u\n",
+    "next a = a ^ (u ^ v)\nnext b = b ^ u\n",
+])
+def test_an_input_read_by_two_updates_is_never_absorbed(alloc, updates):
+    # u's factors are shared by a and b, so only v (read once) is absorbed,
+    # and the joint of a and b stays exact
+    net = parse_network("state a[2], b[2]\ninput u[2], v[2]\n" + updates)
+    init_pts = {"a": ["00", "01"], "b": ["00"]}
+    input_pts = {"u": ["01", "10"], "v": ["00", "11"]}
+    init = {name: points_set(pts, alloc) for name, pts in init_pts.items()}
+    inputs = {name: points_set(pts, alloc) for name, pts in input_pts.items()}
+    oracle = exhaustive_reach(net, {n: set01(p) for n, p in init_pts.items()},
+                              {n: set01(p) for n, p in input_pts.items()}, 4)
+    res = reach(ReachProblem(net=net, init=init, inputs=inputs, steps=4), alloc=alloc)
+    assert [res.size(k) for k in range(5)] == [len(ps) for ps in oracle]
+    assert all(enumerate_points(res.joint(k)) == oracle[k] for k in range(5))
+
+
+def test_shipped_demo_counts_factor_disjoint_joints_as_products(alloc, monkeypatch):
+    # U3 is read once, so U2 ~^ U3 is evaluated once per run and absorbed into
+    # one column over U3's factor: B3 then holds no factor of B1 or B2. The
+    # joints of steps 4-7 are counted as products of two sweeps, B1 and B2
+    # over their factors and B3 over its own; those of steps 1-3 are too
+    # small for that to pay. Every count equals the enumeration's length.
+    result = reach(_shipped_demo(7, alloc), alloc=alloc)
+    for k in range(1, 8):
+        b3 = set(result.steps[k]["B3"].id)
+        assert not b3 & (set(result.steps[k]["B1"].id) | set(result.steps[k]["B2"].id))
+    calls, keys = [], points._side_keys
+    monkeypatch.setattr(points, "_side_keys", lambda d, side, shared: (calls.append(shared), keys(d, side, shared))[1])
+    sides = []
+    for k in range(1, 8):
+        calls.clear()
+        count = result.size(k)
+        sides.append(calls.copy())
+        assert count == len(enumerate_points(result.joint(k))) == [64, 150, 180, 180, 180, 180, 180][k - 1]
+    assert sides == [[]] * 3 + [[0, 0]] * 4

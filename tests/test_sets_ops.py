@@ -11,6 +11,7 @@ from logiczono.sets import (
     ConstrainedPolyLogicalZonotope as CPLZ,
     IdAllocator,
     _compose,
+    absorb,
     apply_gate,
     canonicalize,
     drop_inert_ids,
@@ -889,3 +890,58 @@ def test_gates_on_fresh_operand_emit_increasing_keys(rng, alloc, p_big):
             for gate in (exact_and, exact_xor):
                 keys = [as_int(e) for e in gate(c1, c2).E.columns()]
                 assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_absorb_quantifies_a_private_shift(alloc):
+    # c xor u2*g xor u3*g with u3 private is c' xor u3*g: u2 is gone, and the
+    # center is reduced modulo g (its top bit cleared)
+    g = BitVector.from01("1101101101")
+    s = CPLZ.unconstrained(BitVector.from01("1001001001"), BitMatrix.from_columns([g, g]),
+                           BitMatrix.identity(2), alloc.fresh(2))
+    a = absorb(s, {s.id[1]})
+    assert a.id == (s.id[1],) and a.h == 1 and a.G.column(0) == g
+    assert a.c == BitVector.from01("0100100100")
+    assert enumerate_points(a) == enumerate_points(s)
+    # nothing private, a private factor that a product reads, or constraints: unchanged
+    assert absorb(s, set()) is s
+    prod = CPLZ.unconstrained(s.c, BitMatrix.from_columns([g, g]), BitMatrix.from_bool(np.array([[1, 1], [1, 0]], dtype=bool)), s.id)
+    assert absorb(prod, {s.id[0]}) is prod
+    constrained = intersect(s, s, alloc)
+    assert absorb(constrained, set(constrained.id)) is constrained
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), inert=st.sampled_from([0, 62]))
+def test_absorb_keeps_the_set_and_every_joint(seed, n, inert):
+    # s reads private factors P (some only through their own degree-1 column,
+    # some through products too) and others O; t reads O and its own. The
+    # absorbed set keeps the points of s and of every stack with t, is in
+    # normal form, and has no more columns or factors. ``inert`` zero rows
+    # among s's ids make its exponent keys two words wide.
+    rng = np.random.default_rng(seed)
+    alloc = IdAllocator()
+    P, O = alloc.fresh(int(rng.integers(1, 4))), alloc.fresh(int(rng.integers(0, 3)))
+    ids = P + O + alloc.fresh(inert)
+    order = rng.permutation(len(ids))
+    h = int(rng.integers(0, 5))
+    E = np.zeros((len(ids), len(P) + h), dtype=bool)
+    E[np.arange(len(P)), np.arange(len(P))] = rng.random(len(P)) < 0.8  # unit columns of P
+    E[: len(P) + len(O), len(P):] = rng.random((len(P) + len(O), h)) < 0.4
+    G = rng.random((n, len(P) + h)) < 0.5
+    s = CPLZ.unconstrained(BitVector.from_bits(rng.integers(0, 2, size=n)), BitMatrix.from_bool(G),
+                           BitMatrix.from_bool(E[order]), [ids[k] for k in order])
+    t = random_cplz(rng, alloc, n=n, constrained=False, p=2)
+    t = CPLZ.unconstrained(t.c, t.G, BitMatrix.from_bool(np.vstack([rng.random((len(O), t.h)) < 0.5, t.E.to_bool()])),
+                           O + list(t.id))
+    a = absorb(s, set(P))
+    if a is not s:
+        assert same_set(drop_inert_ids(canonicalize(a)), a)
+        base = drop_inert_ids(canonicalize(s))
+        assert a.h <= base.h and a.p <= base.p and set(a.id) <= set(s.id)
+    assert enumerate_points(a) == enumerate_points(s)
+    for pair in ((a, t), (t, a)):
+        joint = stack(*pair)
+        original = stack(*(s if x is a else x for x in pair))
+        assert enumerate_points(joint) == enumerate_points(original)
+        if not inert:
+            assert set(enumerate_points(joint).to_bitstrings()) == naive_enumerate(original)
