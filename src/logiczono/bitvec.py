@@ -254,10 +254,14 @@ def gf2_basis(rows: np.ndarray) -> np.ndarray:
     rows in increasing pivot order; a row's pivot is its top bit, which no
     other basis row has set, so the basis is unique for a span.
 
-    Dedupes and drops the zero row first, then each pass takes the rest row
-    with the highest top bit as the next pivot and XORs it into every row,
-    pivots found so far included, that has that bit. Found pivots are kept
-    in front, highest first."""
+    No more rows than bits, as the generators of an affine set, are reduced
+    a row at a time (``_rows_basis``), with no dedupe. More rows are deduped
+    and the zero row dropped first, then each pass takes the rest row with
+    the highest top bit as the next pivot and XORs it into every row, pivots
+    found so far included, that has that bit. Found pivots are kept in
+    front, highest first."""
+    if rows.shape[0] <= WORD_BITS * rows.shape[1]:
+        return _rows_basis(rows)
     m = _unique_rows(rows.copy())
     if m.shape[0] and not np.count_nonzero(m[0]):  # the zero row sorts first
         m = m[1:]
@@ -275,6 +279,30 @@ def gf2_basis(rows: np.ndarray) -> np.ndarray:
         m[i] = r
         i += 1
     return m[:i][::-1]
+
+
+def _rows_basis(rows: np.ndarray) -> np.ndarray:
+    """``gf2_basis`` one row at a time, on Python ints: a row is XORed with the
+    pivot row of its top bit until it is zero or its top bit has no pivot
+    row, and then becomes that bit's pivot row, so a row meets only the
+    pivots of the bits it tops. Then each pivot row, lowest first, is XORed
+    into the higher ones that have its bit."""
+    size = 8 * rows.shape[1]
+    data = np.ascontiguousarray(rows, dtype="<u8").tobytes()
+    pivots: dict[int, int] = {}
+    for i in range(rows.shape[0]):
+        x = int.from_bytes(data[i * size : (i + 1) * size], "little")
+        while x and (top := x.bit_length() - 1) in pivots:
+            x ^= pivots[top]
+        if x:
+            pivots[top] = x
+    tops = sorted(pivots)
+    for i, t in enumerate(tops):
+        for u in tops[i + 1 :]:
+            if pivots[u] >> t & 1:
+                pivots[u] ^= pivots[t]
+    words = np.frombuffer(b"".join(pivots[t].to_bytes(size, "little") for t in tops), dtype="<u8")
+    return words.astype(np.uint64).reshape(len(tops), rows.shape[1])
 
 
 class BitMatrix:

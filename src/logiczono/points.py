@@ -78,10 +78,10 @@ from .bitvec import (
     BitMatrix,
     BitVector,
     Gate,
+    _move_rows,
     _unique_rows,
     gf2_basis,
     n_words,
-    pack_bool_rows,
     pad_mask,
     unpack_rows,
 )
@@ -94,7 +94,7 @@ MAX_POINTS = 2_000_000  # cap on the points one enumeration emits
 _CHUNK_BITS = 20  # sweep in chunks of 2^20 assignments to bound memory
 _SPLIT_ROWS = 1 << 15  # a split's fixed cost, in rows of one sweep
 _PRODUCT_ROWS = 1 << 13  # a product count's fixed cost, in rows of one sweep
-_COLUMN_BLOCK = 1 << 16  # columns per product in _row_factors
+_COLUMN_BLOCK = 1 << 16  # columns per block of _groups' factor words
 
 
 @dataclass(frozen=True)
@@ -269,38 +269,58 @@ def _lanes(words: np.ndarray, nbits: int) -> np.ndarray:
     return words.astype(np.uint32) if nbits <= 32 else words
 
 
+def _within(factors: int, budget: EnumerationBudget, group: bool = False) -> None:
+    """Raise unless a sweep over that many factors, a whole set's or one
+    group's, fits the budget."""
+    if factors > budget.max_factors:
+        what = f"a group of {factors} factors exceeds" if group else f"{factors} factors exceed"
+        raise BudgetExceeded(
+            f"{what} the enumeration cap of {budget.max_factors};"
+            " raise max_factors if the sweep is really wanted"
+        )
+
+
 def _live(c: CPLZ, budget: EnumerationBudget) -> CPLZ:
     """The set with its inert factor rows compacted away; only the factors
     left count against the budget."""
     d = drop_inert_ids(c)
-    if d.p > budget.max_factors:
-        raise BudgetExceeded(
-            f"{d.p} factors exceed the enumeration cap of {budget.max_factors};"
-            " raise max_factors if the sweep is really wanted"
-        )
+    _within(d.p, budget)
     return d
 
 
-def _sweep(d: CPLZ):
-    """Yield the points of the admissible assignments of a set with no inert
-    factor, one block of at most 2^_CHUNK_BITS assignments at a time; points
-    may repeat across blocks.
+def _masks(words: np.ndarray) -> np.ndarray:
+    """The factor mask of each packed column of E or R over at most 64
+    factors: its one word, or 0 when no factor is left."""
+    return words[:, 0] if words.shape[1] else np.zeros(words.shape[0], dtype=np.uint64)
 
-    Within the budget (at most 63 factors) each packed column of E and R is
-    one word, which is the column's factor mask. The generator and
-    constraint tables run on ``_lanes``, so the blocks of a set of at most
-    32 bits are uint32 words.
+
+_NONE = np.zeros(0, dtype=np.uint64)  # no constraint column, no constraint row
+
+
+def _sweep(p: int, emasks, G, center, rmasks=_NONE, A=_NONE, b=_NONE):
+    """Yield the points of the admissible assignments over p factors, one
+    block of at most 2^_CHUNK_BITS assignments at a time; points may repeat
+    across blocks.
+
+    The set comes as words: the factor masks of its generator and
+    constraint columns, its payloads G and center in ``_lanes`` (the
+    blocks take their dtype), and A and b; no constraint is the default.
     """
-    emasks = np.bitwise_or.reduce(d.E.data, axis=1)  # the one word, or 0 when no factor is left
-    rmasks = np.bitwise_or.reduce(d.R.data, axis=1)
-    G, center = _lanes(d.G.data, d.n), _lanes(d.c.words, d.n)
-    A, b = _lanes(d.A.data, d.m), _lanes(d.b.words, d.m)
-    chunk = 1 << min(_CHUNK_BITS, d.p)
-    for start in range(0, 1 << d.p, chunk):
-        out = np.empty((chunk, n_words(d.n)), dtype=G.dtype)
+    chunk = 1 << min(_CHUNK_BITS, p)
+    for start in range(0, 1 << p, chunk):
+        out = np.empty((chunk, G.shape[1]), dtype=G.dtype)
         cnt = kernels.sweep_chunk(start, start + chunk, emasks, G, center, rmasks, A, b, out)
         if cnt:
             yield out[:cnt]
+
+
+def _words(d: CPLZ) -> tuple:
+    """``_sweep``'s arguments for a set with no inert factor: within the
+    budget (at most 63 factors) each packed column of E and R is one word,
+    its factor mask. A set of at most 32 bits, or with at most 32
+    constraint rows, sweeps on uint32 words."""
+    A, b = (_lanes(d.A.data, d.m), _lanes(d.b.words, d.m)) if d.m else (d.A.data, d.b.words)
+    return d.p, _masks(d.E.data), _lanes(d.G.data, d.n), _lanes(d.c.words, d.n), _masks(d.R.data), A, b
 
 
 def _distinct(blocks, nw: int, cap: int | None = None) -> np.ndarray:
@@ -315,17 +335,6 @@ def _distinct(blocks, nw: int, cap: int | None = None) -> np.ndarray:
     return rows
 
 
-def _row_factors(d: CPLZ) -> np.ndarray:
-    """(n, p) bools: output row i depends on factor k, i.e. some column with
-    bit i in its payload has k in its monomial. Counted as a product of the
-    unpacked G and E, a block of columns at a time to bound memory."""
-    hits = np.zeros((d.n, d.p), dtype=np.float32)
-    for j in range(0, d.h, _COLUMN_BLOCK):
-        g = unpack_rows(d.G.data[j : j + _COLUMN_BLOCK], d.n).astype(np.float32)
-        hits += g.T @ unpack_rows(d.E.data[j : j + _COLUMN_BLOCK], d.p).astype(np.float32)
-    return hits > 0
-
-
 def _pays(d: CPLZ, factors: list[int], join_rows: int, fixed: int) -> bool:
     """Sweeping d as sides over the factor sets ``factors`` (mask words)
     costs less than the 2^p rows of one sweep. In rows of one sweep it
@@ -338,13 +347,22 @@ def _pays(d: CPLZ, factors: list[int], join_rows: int, fixed: int) -> bool:
 
 def _groups(d: CPLZ, fixed: int) -> list[tuple[int, int]] | None:
     """(factors, rows) mask words of d's output rows grouped by equal factor
-    sets (``_row_factors``), for a split or a product with that ``fixed``
-    cost; None when neither can pay: d is constrained, has no factor, is
-    wider than 64 bits, or is too small for the fixed cost."""
+    sets, for a split or a product with that ``fixed`` cost; None when
+    neither can pay: d is constrained, has no factor, is wider than 64
+    bits, or is too small for the fixed cost.
+
+    Output row i depends on factor k when some column with bit i in its
+    payload has k in its monomial, so row i's factor word is the OR of the
+    factor masks of the columns with bit i, a block of columns at a time to
+    bound memory. d has at most 63 factors: each mask is one word."""
     if d.q or not d.p or not 0 < d.n <= 64 or not _pays(d, [], 0, fixed):
         return None
+    masks, words = d.E.data[:, 0], np.zeros(d.n, dtype=np.uint64)
+    for j in range(0, d.h, _COLUMN_BLOCK):
+        hits = unpack_rows(d.G.data[j : j + _COLUMN_BLOCK], d.n)
+        words |= np.bitwise_or.reduce(np.where(hits, masks[j : j + _COLUMN_BLOCK, None], np.uint64(0)), axis=0)
     groups: dict[int, int] = {}
-    for i, f in enumerate(pack_bool_rows(_row_factors(d))[:, 0].tolist()):
+    for i, f in enumerate(words.tolist()):
         groups[f] = groups.get(f, 0) | 1 << i
     return list(groups.items())
 
@@ -393,20 +411,22 @@ def _side_keys(d: CPLZ, side: int, shared: int) -> np.ndarray:
     side's output rows (the mask word ``side``) in place, s the values of
     the shared factors (the mask word ``shared``).
 
-    The side is an unconstrained set: d's c and G cut to its rows, the
-    columns that meet them, and one unit column per shared factor, over
-    d's factor rows; ``drop_inert_ids`` leaves the side's own factors."""
-    G = d.G.data & np.uint64(side)
-    keep = G[:, 0] != 0
-    units = np.uint64(1) << np.array([k for k in range(d.p) if shared >> k & 1], dtype=np.uint64)
+    The side is an unconstrained set swept from words: d's c and G cut to
+    its rows, the columns that meet them, and one unit column per shared
+    factor (key bits n, n + 1, ... in ascending factor order), with the
+    factor masks compacted to the side's own factors F by one row move."""
+    G = d.G.data[:, 0] & np.uint64(side)
+    keep = G != 0
+    units = [k for k in range(d.p) if shared >> k & 1]
+    masks = np.concatenate([_masks(d.E.data)[keep], np.uint64(1) << np.array(units, dtype=np.uint64)])
+    f = int(np.bitwise_or.reduce(masks, initial=np.uint64(0)))
+    own = [k for k in range(d.p) if f >> k & 1]
+    if f & (f + 1):  # F is not the low factors 0..|F|-1 already
+        masks = _move_rows(masks[:, None], own, range(len(own)), len(own))[:, 0]
     nk = d.n + len(units)
-    G = np.concatenate([G[keep], (np.uint64(1) << np.arange(d.n, nk, dtype=np.uint64))[:, None]])
-    E = np.concatenate([d.E.data[keep], units[:, None]])
-    z = drop_inert_ids(CPLZ._of_parts(
-        BitVector._of_masked(nk, d.c.words & np.uint64(side)), BitMatrix._of_masked(nk, G),
-        BitMatrix._of_masked(d.p, E), d.A, d.b, d.R, d.id,
-    ))
-    return _distinct(_sweep(z), 1)[:, 0].astype(np.uint64, copy=False)
+    G = np.concatenate([G[keep], np.uint64(1) << np.arange(d.n, nk, dtype=np.uint64)])
+    keys = _sweep(len(own), masks, _lanes(G[:, None], nk), _lanes(d.c.words & np.uint64(side), nk))
+    return _distinct(keys, 1)[:, 0].astype(np.uint64, copy=False)
 
 
 def _joined(d: CPLZ, side: int, fa: int, fb: int):
@@ -428,7 +448,7 @@ def _joined(d: CPLZ, side: int, fa: int, fb: int):
     shared = fa & fb
     ka = _side_keys(d, side, shared)
     if not _pays(d, [fa, fb], len(ka) << (fb & ~shared).bit_count(), _SPLIT_ROWS):
-        yield from _sweep(d)
+        yield from _sweep(*_words(d))
         return
     n, pad = np.uint64(d.n), pad_mask(d.n)[0]
     kb = _side_keys(d, int(pad) & ~side, shared)
@@ -450,7 +470,7 @@ def _points(d: CPLZ, groups: list[tuple[int, int]] | None = None) -> np.ndarray:
     or, when its row ``groups`` make a split pay, as two sides joined on
     their shared factors."""
     plan = _split(d, groups)
-    blocks = _sweep(d) if plan is None else _joined(d, *plan)
+    blocks = _sweep(*_words(d)) if plan is None else _joined(d, *plan)
     return _distinct(blocks, n_words(d.n), MAX_POINTS)
 
 
@@ -495,12 +515,16 @@ def count_points(c: CPLZ, budget: EnumerationBudget | None = None) -> int:
     span = _span_form(c)
     if span is not None:
         return 1 << len(span[1])
-    d = _live(c, budget or DEFAULT_BUDGET)
-    groups = _groups(d, min(_PRODUCT_ROWS, _SPLIT_ROWS))
+    budget = budget or DEFAULT_BUDGET
+    d = drop_inert_ids(c)
+    # _groups reads one mask word per column: a set over 63 factors fails below
+    groups = _groups(d, min(_PRODUCT_ROWS, _SPLIT_ROWS)) if d.p <= 63 else None
     parts = _disjoint(groups) if groups else []
     if len(parts) > 1 and _pays(d, [f for f, _ in parts], 0, _PRODUCT_ROWS):
+        _within(max(f.bit_count() for f, _ in parts), budget, group=True)
         # a group over no factor is one point
         return math.prod(len(_side_keys(d, rows, 0)) for f, rows in parts if f)
+    _within(d.p, budget)
     return len(_points(d, groups or []))
 
 
@@ -516,7 +540,7 @@ def witness_point(c: CPLZ, budget: EnumerationBudget | None = None) -> BitVector
     if not (c.q and c.m):
         constant = c.G.data[~c.E.data.any(axis=1)]
         return BitVector._of_masked(c.n, c.c.words ^ np.bitwise_xor.reduce(constant, axis=0))
-    for block in _sweep(_live(c, budget or DEFAULT_BUDGET)):
+    for block in _sweep(*_words(_live(c, budget or DEFAULT_BUDGET))):
         return BitVector(c.n, block[0].astype(np.uint64))
     return None
 

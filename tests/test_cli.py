@@ -190,10 +190,12 @@ def test_shipped_data_files_load():
 def test_reach_example_circuit_minkowski(capsys):
     code = main([*CIRCUIT, "--steps", "5", "--mode", "minkowski", "--enumerate"])
     out, err = capsys.readouterr()
+    # the step-3 joint (p = 37) is counted as factor-disjoint groups of at
+    # most 15 factors; the step-4 joint has more than 63 live factors
     assert code == 3
-    assert "step 3 joint state set (h=162, p=37)" in err
+    assert "step 4 joint state set (h=544, p=71)" in err
     rows = [line.split() for line in out.splitlines()[1:]]
-    assert [(int(r[0]), int(r[2])) for r in rows] == [(1, 128), (2, 200)]
+    assert [(int(r[0]), int(r[2])) for r in rows] == [(1, 128), (2, 200), (3, 200)]
 
 
 def test_reach_construction_budget_exit(tmp_path, capsys, monkeypatch):
@@ -238,25 +240,26 @@ def test_reach_point_lists_single_run(tmp_path, capsys):
 
 
 def test_reach_budget_names_the_step(tmp_path, capsys):
-    # the shipped circuit with a third point in B1 and in U1: the step-6
-    # joint set has 28 factors, over the default cap of 24
+    # the shipped circuit with a third point in B1 and in U1: the step-8
+    # joint set is counted by groups, and one has 27 factors, over the
+    # default cap of 24
     init = json.loads((DATA / "circuit3x10_init.json").read_text())
     inputs = json.loads((DATA / "circuit3x10_inputs.json").read_text())
     init["B1"]["points"].append("1111100000")
     inputs["U1"]["points"].append("0000011111")
     code = main([
-        "reach", "--net", str(DATA / "circuit3x10.bn"), "--steps", "6", "--enumerate",
+        "reach", "--net", str(DATA / "circuit3x10.bn"), "--steps", "8", "--enumerate",
         "--init", write(tmp_path / "i.json", init), "--inputs", write(tmp_path / "u.json", inputs),
     ])
     out, err = capsys.readouterr()
     assert code == 3
-    assert "step 6 joint state set" in err
+    assert "step 8 joint state set" in err and "a group of 27 factors exceeds" in err
     # rows counted before the failing step are still printed
     lines = out.splitlines()
     assert lines[0].split() == ["step", "time_ms", "size"]
     rows = [line.split() for line in lines[1:]]
     assert [(int(r[0]), int(r[2])) for r in rows] == list(
-        zip(range(1, 6), [128, 540, 1295, 2325, 3165])
+        zip(range(1, 8), [128, 540, 1295, 2325, 3165, 3580, 3770])
     )
 
 

@@ -425,6 +425,130 @@ def test_product_counts_equal_the_enumeration(seed, share, widths):
             assert len(sides) >= reading and set(sides) == {0}
 
 
+def _side_set(rng, n, p, side_factors):
+    """An unconstrained set of n bits over p factors whose output rows in
+    ``side`` (a mask word) depend on the factors ``side_factors``, scattered
+    among the p, and whose other rows depend on any factors."""
+    side = int(rng.integers(1, 1 << n)) if n < 64 else int(rng.integers(1, 1 << 63)) << 1 | 1
+    rows = np.array([side >> i & 1 for i in range(n)], dtype=bool)
+    cols = []
+    for _ in range(int(rng.integers(1, 10))):  # columns that meet the side (and maybe other rows)
+        g = rows & (rng.random(n) < 0.5)
+        g[rng.choice(np.flatnonzero(rows))] = True
+        g |= ~rows & (rng.random(n) < 0.3)
+        e = np.zeros(p, dtype=bool)
+        e[[k for k in side_factors if rng.random() < 0.5]] = True
+        cols.append((g, e))
+    for _ in range(int(rng.integers(0, 10))):  # columns off the side, over any factors
+        g = ~rows & (rng.random(n) < 0.5)
+        cols.append((g, rng.random(p) < 0.3))
+    G = np.array([g for g, _ in cols]).T
+    E = np.array([e for _, e in cols]).T
+    z = CPLZ.unconstrained(BitVector.from_bits(rng.integers(0, 2, size=n)), BitMatrix.from_bool(G),
+                           BitMatrix.from_bool(E), IdAllocator().fresh(p))
+    return z, side
+
+
+def _reference_side_keys(d, side, shared):
+    """The side rebuilt as a set, as the point layer once built it: d's c and G
+    cut to the side's rows, the columns that meet them and one unit column
+    per shared factor, with its inert factors dropped, enumerated naively."""
+    G = d.G.data[:, 0] & np.uint64(side)
+    keep = G != 0
+    units = [k for k in range(d.p) if shared >> k & 1]
+    nk = d.n + len(units)
+    G = np.concatenate([G[keep], np.uint64(1) << np.arange(d.n, nk, dtype=np.uint64)])
+    E = np.concatenate([d.E.data[keep, 0], np.uint64(1) << np.array(units, dtype=np.uint64)])
+    z = drop_inert_ids(CPLZ.unconstrained(BitVector(nk, d.c.words & np.uint64(side)), BitMatrix(nk, G[:, None]),
+                                          BitMatrix(d.p, E[:, None]), d.id))
+    return np.array(sorted(int(x[::-1], 2) for x in naive_enumerate(z)), dtype=np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), p=st.integers(1, 63), chunk_bits=st.sampled_from([2, 20]))
+def test_side_keys_from_words_equal_the_rebuilt_side(seed, n, p, chunk_bits):
+    # side keys are swept from d's words with the side's factors compacted;
+    # they equal the keys of the side rebuilt as a set, x | s << n included,
+    # with or without shared factors, and over several blocks when the
+    # chunk is smaller than the side
+    rng = np.random.default_rng(seed)
+    own = sorted(rng.choice(p, size=int(rng.integers(0, min(p, 6) + 1)), replace=False).tolist())
+    d, side = _side_set(rng, n, p, own)  # inert factors left in: the side drops them
+    fa = _factors(d, side)
+    room = min(64 - d.n, 6 - fa.bit_count())
+    extra = [k for k in range(d.p) if not fa >> k & 1 and rng.random() < 0.2][:max(room, 0)]
+    shared = sum(1 << k for k in range(d.p) if fa >> k & 1 and rng.random() < 0.5)
+    shared = shared if d.n + shared.bit_count() <= 64 else 0
+    shared |= sum(1 << k for k in extra) if d.n + (shared.bit_count() + len(extra)) <= 64 else 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "_CHUNK_BITS", chunk_bits)
+        got = points._side_keys(d, side, shared)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, _reference_side_keys(d, side, shared))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), p=st.integers(1, 63), h=st.integers(0, 40))
+def test_group_masks_equal_a_bool_product(seed, n, p, h):
+    # row i's factor word has bit k iff some column with bit i has k in its
+    # monomial: the bool product of G and E's transpose, in blocks of columns
+    rng = np.random.default_rng(seed)
+    G, E = rng.random((n, h)) < 0.3, rng.random((p, h)) < 0.2
+    z = CPLZ.unconstrained(BitVector.from_bits(rng.integers(0, 2, size=n)), BitMatrix.from_bool(G),
+                           BitMatrix.from_bool(E), IdAllocator().fresh(p))
+    hits = (G.astype(int) @ E.T.astype(int)) > 0
+    expected: dict[int, int] = {}
+    for i, row in enumerate(hits):
+        f = sum(1 << k for k in np.flatnonzero(row).tolist())
+        expected[f] = expected.get(f, 0) | 1 << i
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "_COLUMN_BLOCK", 7)
+        assert dict(points._groups(z, ALWAYS_PRODUCT)) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), widths=st.lists(st.integers(1, 8), min_size=2, max_size=3))
+def test_product_budget_counts_the_largest_group(seed, widths):
+    # an id-disjoint stack is counted by groups: a cap that fits the largest
+    # group counts it, although the stack's p is over it, and one less names
+    # that group's size
+    rng = np.random.default_rng(seed)
+    alloc = IdAllocator()
+    ops = [_operand(rng, n, alloc.fresh(int(rng.integers(2, 5)))) for n in widths]
+    z = stack(*ops)
+    d = drop_inert_ids(z)
+    groups = points._groups(d, ALWAYS_PRODUCT)
+    parts = [f for f, _ in points._disjoint(groups)] if groups else []
+    largest = max([f.bit_count() for f in parts], default=0)
+    if len(parts) < 2 or largest == d.p or points._span_form(z) is not None:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "_PRODUCT_ROWS", ALWAYS_PRODUCT)
+        assert count_points(z, EnumerationBudget(largest)) == len(naive_enumerate(z))
+        if largest > 1:
+            with pytest.raises(BudgetExceeded, match=f"a group of {largest} factors exceeds the enumeration cap"):
+                count_points(z, EnumerationBudget(largest - 1))
+    with pytest.raises(BudgetExceeded, match=f"{d.p} factors exceed the enumeration cap of {largest}"):
+        enumerate_points(z, EnumerationBudget(largest))
+
+
+def _and_rows(n, k):
+    """n bits, row i the AND of its own k factors: n groups of k factors."""
+    E = np.zeros((n * k, n), dtype=bool)
+    for i in range(n):
+        E[i * k : (i + 1) * k, i] = True
+    return CPLZ.unconstrained(BitVector.zeros(n), BitMatrix.from_bool(np.eye(n, dtype=bool)),
+                              BitMatrix.from_bool(E), IdAllocator().fresh(n * k))
+
+
+def test_product_budget_still_refuses_more_than_63_factors():
+    # groups of 18 factors fit the default cap: 3 of them (p = 54) are
+    # counted, 4 of them (p = 72) are over one mask word and refused
+    assert count_points(_and_rows(3, 18)) == 8
+    with pytest.raises(BudgetExceeded, match="72 factors exceed the enumeration cap of 24"):
+        count_points(_and_rows(4, 18))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_every_partition_joins_to_the_same_points(monkeypatch, seed):
     # any two sides give the points, not only the greedy ones: the rows no
@@ -503,15 +627,15 @@ def test_split_counts_one_join_row_per_shared_value(monkeypatch):
 
 
 def test_joined_sweeps_whole_when_the_join_bound_does_not_pay(monkeypatch):
-    # a side sweep is over the n bits plus one per shared factor, the whole
-    # sweep over the n bits alone: a fallback sweeps one side, then the set
+    # a side sweep is over side A's factors, the whole sweep over all p live
+    # factors: a fallback sweeps one side, then the set
     sweep, widths = points._sweep, []
-    monkeypatch.setattr(points, "_sweep", lambda d: widths.append(d.n) or sweep(d))
+    monkeypatch.setattr(points, "_sweep", lambda p, *words: widths.append(p) or sweep(p, *words))
     fell_back = 0
     for l1, l2, z in _mink_and_sets():
         widths.clear()
         ps = enumerate_points(z)
-        fell_back += len(widths) == 2 and widths[0] > z.n == widths[1]
+        fell_back += len(widths) == 2 and widths[0] < drop_inert_ids(z).p == widths[1]
         with pytest.MonkeyPatch.context() as mp:
             assert np.array_equal(ps.rows, _enumerate_with(mp, z, NEVER_SPLIT).rows)
         assert ps == pointset_gate(Gate.AND, enumerate_points(l1), enumerate_points(l2))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib
 from importlib import resources
@@ -417,14 +418,16 @@ def test_shipped_demo_counts_split_only_where_it_pays(alloc, monkeypatch):
     # the joints of steps 5-7 (p = 18, 21, 24) are enumerated as two sides,
     # those of steps 1-4 whole; B3's input factors are absorbed, so the sides
     # (B1 and B2, then B3) share no factor and the join is a cross product.
-    # The budget still counts every live factor of the joint, with the same
-    # message on a smaller joint
+    # A product count's budget counts its largest group: the step-8 joint
+    # (p = 27) is counted as groups of 18 and 9 factors under the default
+    # cap, and a cap of 17 names the group it refuses
     result = reach(_shipped_demo(8, alloc), alloc=alloc)
     joints = [drop_inert_ids(result.joint(k)) for k in range(9)]
     assert [points._split(d) is not None for d in joints[1:8]] == [False] * 4 + [True] * 3
-    assert [result.size(k) for k in range(1, 8)] == [64, 150, 180, 180, 180, 180, 180]
-    with pytest.raises(BudgetExceeded, match=r"step 8 joint state set \(h=2324, p=27\): 27 factors exceed"):
-        result.size(8)
+    assert [result.size(k) for k in range(1, 9)] == [64, 150, 180, 180, 180, 180, 180, 180]
+    tight = dataclasses.replace(result, budget=EnumerationBudget(17))
+    with pytest.raises(BudgetExceeded, match=r"step 8 joint state set \(h=2324, p=27\): a group of 18 factors exceeds"):
+        tight.size(8)
     split = [enumerate_points(joints[k]) for k in (5, 6)]
     monkeypatch.setattr(points, "_SPLIT_ROWS", 1 << 80)
     assert [points._split(joints[k]) for k in (5, 6)] == [None, None]
