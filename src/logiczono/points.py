@@ -3,12 +3,16 @@
 Converts generator-domain sets to explicit point sets by sweeping all
 factor assignments that satisfy the constraints, and provides brute-force
 set operations for equivalence testing; encodes a point list back into
-one exact set with the same transform. One sweep generator yields the
-points block by block: enumeration dedupes after each block, and a
-witness is the first point of the first non-empty block. The sweep cost
-is 2^p over the live factors (inert ones are dropped first), so that p
-is guarded by an EnumerationBudget, and an enumeration emits at most
-MAX_POINTS points. A set with no effective constraint admits every
+one exact set with the same transform. One sweep generator (``_sweep``)
+yields the points block by block: enumeration dedupes after each block,
+and a witness is the first point of the first non-empty block. It runs
+from words, not from a set: one factor mask word per generator and
+constraint column (the column's one packed word of E or R, as a set of
+at most 63 factors has), and the payloads, center, A and b in
+``_lanes``; ``_words`` reduces a set to them. The sweep cost is 2^p over
+the live factors (inert ones are dropped first), so that p is guarded by
+an EnumerationBudget, and an enumeration emits at most MAX_POINTS
+points. A set with no effective constraint admits every
 assignment, so its witness is the point of alpha = 0, found without a
 sweep or a budget. Unconstrained sets whose monomials all have degree at
 most one (logical zonotopes among them) are affine subspaces over GF(2),
@@ -29,10 +33,12 @@ but B1 and B2 depend on 12 of them and B3 on 11, and the two share the 5
 factors of U2. An unconstrained set of at most 64 bits is then swept as
 two sides (``_split``): side A is some of its output rows and side B the
 rest, F_A and F_B are the factors of the columns that meet each side's
-rows, and S = F_A & F_B are the shared ones. Each side is an ordinary
-unconstrained set, its rows of c and G plus one unit column per shared
-factor, and the same sweep lists its distinct keys (s, x) over F_A (or
-F_B) alone. Given s, the private factors of the two sides are
+rows, and S = F_A & F_B are the shared ones. Each side is an
+unconstrained set built as words, never as a set: its rows of c and G,
+the factor masks of the columns that meet them plus one unit column per
+shared factor, compacted to F_A (or F_B) by one row move
+(``bitvec._move_rows``); the same sweep lists its distinct keys (s, x)
+over F_A (or F_B) alone. Given s, the private factors of the two sides are
 independent, so the points are the join of the two key lists on s,
 deduped like any sweep block: the same ``PointSet`` as one sweep, bit
 for bit. ``_split`` plans the split once: side A's rows and the factor
@@ -46,21 +52,26 @@ join as at least 2^|S| rows; after sweeping side A, ``_joined`` bounds
 it from above by K * 2^|F_B - S| for side A's K keys and sweeps the set
 whole when that no longer pays. A split may have no shared factor; then
 the join is a cross product. On the shipped demo the joints of steps
-5-7 split and those of steps 1-4 are swept whole. The budget still
-counts all p live factors of the set, and constrained sets, sets wider
+5-7 split and those of steps 1-4 are swept whole. The budget counts
+all p live factors of a split set, and constrained sets, sets wider
 than 64 bits and sets whose side keys (n bits, then |S|) do not fit one
 word keep the single sweep.
 
 Product counts. When the output rows fall into two or more groups over
-pairwise-disjoint factor sets (``_groups``, merged by ``_disjoint``),
-the groups are independent and ``count_points`` multiplies their
+pairwise-disjoint factor sets (``_groups``, merged by ``_disjoint``;
+row i's factor word is the OR of the factor masks of the columns with
+bit i), the groups are independent and ``count_points`` multiplies their
 counts: each group is swept over its own factors (``_side_keys`` with no
 shared factor), with no join and no dedupe of joint points. It does so
 when 2^|F_1| + ... + 2^|F_k| rows, n rows per generator column and the
 fixed ``_PRODUCT_ROWS`` (measured as the crossover on the shipped
 circuit's joints) cost less than the 2^p rows of one sweep. On the
-shipped demo the joints of steps 4-7 are counted so, as B1 and B2 over
-their factors and B3 over its own.
+shipped demo the joints of steps 4-11 are counted so, as B1 and B2 over
+their factors and B3 over its own. A product count sweeps each group
+alone, so the budget caps the largest group, not p: the demo's step-8
+joint (p = 27) is counted as groups of 18 and 9 factors. A set must
+still have at most 63 live factors, since ``_groups`` reads one mask
+word per column.
 """
 
 from __future__ import annotations
@@ -508,8 +519,10 @@ def count_points(c: CPLZ, budget: EnumerationBudget | None = None) -> int:
     materializing. An unconstrained set whose output rows fall into groups
     with pairwise-disjoint factor sets (``_disjoint``) is the product of
     independent groups, so its count is the product of theirs, each swept
-    over its own factors with no join, when that pays (``_pays`` with
-    ``_PRODUCT_ROWS``); the budget still counts all p live factors."""
+    from words over its own factors with no join, when that pays (``_pays``
+    with ``_PRODUCT_ROWS``). The budget caps the largest group there, and
+    all p live factors otherwise; a set over 63 live factors is refused
+    either way."""
     if _empty_by_constraints(c):
         return 0
     span = _span_form(c)
