@@ -254,39 +254,12 @@ def gf2_basis(rows: np.ndarray) -> np.ndarray:
     rows in increasing pivot order; a row's pivot is its top bit, which no
     other basis row has set, so the basis is unique for a span.
 
-    No more rows than bits, as the generators of an affine set, are reduced
-    a row at a time (``_rows_basis``), with no dedupe. More rows are deduped
-    and the zero row dropped first, then each pass takes the rest row with
-    the highest top bit as the next pivot and XORs it into every row, pivots
-    found so far included, that has that bit. Found pivots are kept in
-    front, highest first."""
-    if rows.shape[0] <= WORD_BITS * rows.shape[1]:
-        return _rows_basis(rows)
-    m = _unique_rows(rows.copy())
-    if m.shape[0] and not np.count_nonzero(m[0]):  # the zero row sorts first
-        m = m[1:]
-    i, w = 0, m.shape[1] - 1
-    while i < m.shape[0] and w >= 0:
-        j = i + int(m[i:, w].argmax())
-        r = m[j].copy()
-        if not r[w]:  # no rest row has a bit in word w
-            w -= 1
-            continue
-        col = m[:, w]
-        # r's top bit is the highest bit r flips, so x ^ r < x in word w iff x has it
-        np.bitwise_xor(m, r, out=m, where=((col ^ r[w]) < col)[:, None])
-        m[j] = m[i]
-        m[i] = r
-        i += 1
-    return m[:i][::-1]
-
-
-def _rows_basis(rows: np.ndarray) -> np.ndarray:
-    """``gf2_basis`` one row at a time, on Python ints: a row is XORed with the
+    Rows are reduced one at a time, on Python ints: a row is XORed with the
     pivot row of its top bit until it is zero or its top bit has no pivot
     row, and then becomes that bit's pivot row, so a row meets only the
-    pivots of the bits it tops. Then each pivot row, lowest first, is XORed
-    into the higher ones that have its bit."""
+    pivots of the bits it tops, and zero and repeated rows need no dedupe.
+    Then each pivot row, lowest first, is XORed into the higher ones that
+    have its bit."""
     size = 8 * rows.shape[1]
     data = np.ascontiguousarray(rows, dtype="<u8").tobytes()
     pivots: dict[int, int] = {}

@@ -350,8 +350,9 @@ def _pays(d: CPLZ, factors: list[int], join_rows: int, fixed: int) -> bool:
     """Sweeping d as sides over the factor sets ``factors`` (mask words)
     costs less than the 2^p rows of one sweep. In rows of one sweep it
     costs the 2^|F| rows each side sweeps, the ``join_rows`` of their join,
-    n rows per generator column (the grouping reads every payload bit, and
-    each side rebuilds its columns) and a ``fixed`` cost per call."""
+    n rows per generator column (``_groups`` unpacks every payload bit to
+    OR-reduce the columns' factor masks, and each side selects its
+    columns) and a ``fixed`` cost per call."""
     swept = sum(1 << f.bit_count() for f in factors)
     return swept + join_rows + d.h * d.n + fixed < 1 << d.p
 

@@ -230,10 +230,6 @@ def test_gf2_basis_is_the_reduced_basis_of_the_span(seed, n, k, spanning):
         if i != j:
             mixed[i] ^= mixed[j]
     assert np.array_equal(gf2_basis(mixed), basis)
-    # no more rows than bits are reduced a row at a time, more by passes over
-    # the packed words: repeating the rows past the bit count takes the other path
-    if k:
-        assert np.array_equal(gf2_basis(np.tile(words, (64 * words.shape[1] // k + 1, 1))), basis)
 
 
 # row counts on both sides of the word boundaries
